@@ -4,14 +4,22 @@ An element is stored as a finite support S plus a truth table over the
 realizable traces of S: the up-closed subsets of the subposet on S.  Any
 final segment R of the poset restricted to S is up-closed in S, and every
 up-closed T <= S is realized by the final segment generated by T, so the
-table determines the element exactly and equality is a table comparison
-over a common support.
+table determines the element exactly.  The table is an int whose bit k is
+the truth at ``traces[k]`` (the sorted up-sets of S).
+
+Binary operations run on one lift-and-gather kernel.  To bring an element
+onto a larger support U, ``_lift`` maps each of its own traces to its bit
+(read off the table as a '0'/'1' string), gathers that bit at ``t & S`` for
+every trace t of U in one pass, and packs the result back into an int.
+``meet``/``join`` are then ``&``/``|`` of lifted tables and ``equals``
+compares them; an operand already on U is used as it is.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import and_, or_
 
 from .errors import EnumerationOverflow, PosetMismatch, UnknownElement
 from .poset import iter_bits, popcount
@@ -89,24 +97,34 @@ def gen(poset, p):
     return AlgebraElem(poset, support, truth, traces)
 
 
+def _bits(e):
+    """Map each trace of e to its truth as '0' or '1'."""
+    # a sentinel bit above the table fixes the width of the binary string
+    return dict(zip(e.traces, bin(e.truth | 1 << len(e.traces))[:2:-1]))
+
+
+def _lift(e, traces, support):
+    """e's truth table over ``traces``, the up-sets of ``support`` >= e.support."""
+    if e.support == support:
+        return e.truth
+    bit_at, sub = _bits(e), e.support
+    return int("".join([bit_at[t & sub] for t in reversed(traces)]), 2)
+
+
 def _combine(e1, e2, op):
     _check_same_poset(e1, e2)
-    poset = e1.poset
     support = e1.support | e2.support
-    traces = _traces(poset, support)
-    truth = 0
-    for k, t in enumerate(traces):
-        if op(e1.eval_trace(t & e1.support), e2.eval_trace(t & e2.support)):
-            truth |= 1 << k
-    return AlgebraElem(poset, support, truth, traces)
+    traces = _traces(e1.poset, support)
+    truth = op(_lift(e1, traces, support), _lift(e2, traces, support))
+    return AlgebraElem(e1.poset, support, truth, traces)
 
 
 def meet(e1, e2):
-    return _combine(e1, e2, lambda a, b: a and b)
+    return _combine(e1, e2, and_)
 
 
 def join(e1, e2):
-    return _combine(e1, e2, lambda a, b: a or b)
+    return _combine(e1, e2, or_)
 
 
 def complement(e):
@@ -141,10 +159,8 @@ def equals(e1, e2):
     if e1.support == e2.support:
         return e1.truth == e2.truth
     support = e1.support | e2.support
-    for t in _traces(e1.poset, support):
-        if e1.eval_trace(t & e1.support) != e2.eval_trace(t & e2.support):
-            return False
-    return True
+    traces = _traces(e1.poset, support)
+    return _lift(e1, traces, support) == _lift(e2, traces, support)
 
 
 def leq(e1, e2):
@@ -196,35 +212,27 @@ def product_elem(poset, sigma):
 def support_reduce(e):
     """Drop support elements the truth table does not depend on.
 
-    Removal is attempted in ascending element-id order and iterated to a
-    fixpoint; the result is the canonical minimal-support form of e.
+    Element s can go iff every trace t containing s whose t - s is also a
+    trace has the bit of t - s; each remaining up-set u then takes the bit
+    at u, or at u | s when u alone is not a trace.  Removal is tried in
+    ascending element-id order.  An element that cannot go stays needed on
+    every smaller support, so this one pass is already the fixpoint: the
+    canonical minimal-support form of e.
     """
-    poset = e.poset
-    support, traces, truth = e.support, e.traces, e.truth
-    changed = True
-    while changed:
-        changed = False
-        for s in iter_bits(support):
-            bit = 1 << s
-            rest = support & ~bit
-            rest_traces = _traces(poset, rest)
-            new_truth = 0
-            ok = True
-            trace_set = {}
-            for k, t in enumerate(traces):
-                trace_set[t] = bool(truth >> k & 1)
-            for k, u in enumerate(rest_traces):
-                vals = [trace_set[c] for c in (u, u | bit) if c in trace_set]
-                if len(vals) == 2 and vals[0] != vals[1]:
-                    ok = False
-                    break
-                if vals[0]:
-                    new_truth |= 1 << k
-            if ok:
-                support, traces, truth = rest, rest_traces, new_truth
-                changed = True
-                break
-    return AlgebraElem(poset, support, truth, traces)
+    support = e.support
+    bit_at = _bits(e)
+    for s in iter_bits(e.support):
+        bit = 1 << s
+        if any(bit_at.get(t ^ bit, b) != b for t, b in bit_at.items() if t & bit):
+            continue
+        # the bits of t and t - s agree wherever both are traces
+        bit_at = {t & ~bit: b for t, b in bit_at.items()}
+        support ^= bit
+    if support == e.support:
+        return AlgebraElem(e.poset, support, e.truth, e.traces)
+    traces = _traces(e.poset, support)
+    truth = int("".join([bit_at[t] for t in reversed(traces)]), 2)
+    return AlgebraElem(e.poset, support, truth, traces)
 
 
 def canonical_key(e):
@@ -251,20 +259,9 @@ def from_dnf(poset, products):
     )
 
 
-def dnf_str(products, poset=None):
+def dnf_str(products, poset):
     if not products:
         return "0"
-    if poset is None:
-        # render with raw bit ids when no poset is handy
-        def render(pr):
-            bits = []
-            if pr.pos:
-                bits.append("x{%s}" % ",".join(str(i) for i in iter_bits(pr.pos)))
-            if pr.neg:
-                bits.append("-x{%s}" % ",".join(str(i) for i in iter_bits(pr.neg)))
-            return "*".join(bits) if bits else "1"
-
-        return " + ".join(render(pr) for pr in products)
     return " + ".join(pr.render(poset) for pr in products)
 
 

@@ -27,8 +27,12 @@ def _load_poset(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        elements = data["elements"]
-        pairs = [tuple(p) for p in data["le"]]
+        elements, le = data["elements"], data["le"]
+        if not isinstance(elements, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in le
+        ):
+            raise TypeError("'elements' must be a list and each 'le' entry a pair")
+        pairs = [tuple(p) for p in le]
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         click.echo(json.dumps({"error": "parse", "detail": str(exc)}))
         sys.exit(2)

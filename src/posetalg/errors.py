@@ -21,6 +21,10 @@ class CycleError(PosetAlgError):
         self.witness = (a, b)
 
 
+class NotAnOrder(PosetAlgError):
+    """A relation matrix that is not reflexive or not transitive."""
+
+
 class SizeLimit(PosetAlgError):
     pass
 

@@ -15,6 +15,7 @@ from .errors import (
     CycleError,
     DuplicateName,
     EnumerationOverflow,
+    NotAnOrder,
     SizeLimit,
     UnknownElement,
 )
@@ -52,10 +53,15 @@ class Poset:
         down = [0] * n
         for i in range(n):
             row = self.up[i]
-            assert row >> i & 1, "relation not reflexive"
+            if not row >> i & 1:
+                raise NotAnOrder(f"relation not reflexive at {self.names[i]!r}")
             for j in iter_bits(row):
-                assert self.up[j] | row == row, "relation not transitive"
-                assert i == j or not self.up[j] >> i & 1, "relation not antisymmetric"
+                if self.up[j] | row != row:
+                    raise NotAnOrder(
+                        f"relation not transitive at {self.names[i]!r} <= {self.names[j]!r}"
+                    )
+                if i != j and self.up[j] >> i & 1:
+                    raise CycleError(self.names[i], self.names[j])
                 down[j] |= 1 << i
         self.down = tuple(down)
         self._ids = {name: i for i, name in enumerate(self.names)}

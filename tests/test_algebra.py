@@ -1,11 +1,14 @@
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_denote, brute_final_segments
-from posetalg import algebra, corpus, exprs
+from posetalg import algebra, corpus, exprs, stone
 from posetalg.errors import EnumerationOverflow, ParseError, PosetMismatch, UnknownElement
-from posetalg.poset import antichain, chain, popcount, random_poset
+from posetalg.poset import antichain, chain, iter_bits, popcount, random_poset
 
 POSET_POOL = [
     corpus.v3(),
@@ -113,6 +116,54 @@ def test_support_cap():
     wide = antichain(22)
     with pytest.raises(EnumerationOverflow):
         algebra.meet_all(wide, [algebra.gen(wide, i) for i in range(22)])
+
+
+# -- the lift-and-gather kernel against the Stone oracle ----------------------------
+
+
+def _operand(p, space, support, rng):
+    """A join of random elementary products on exactly ``support``, and its clopen
+    built from ``stone.v_set`` alone."""
+    if not support:
+        return (algebra.one(p), space.full) if rng.random() < 0.5 else (algebra.zero(p), 0)
+    v = {i: stone.v_set(space, i) for i in iter_bits(support)}
+    elem, clopen = None, 0
+    for _ in range(3):
+        pos = rng.getrandbits(p.n) & support
+        term = algebra.elementary_product(p, pos, support & ~pos)
+        elem = term if elem is None else algebra.join(elem, term)
+        d = space.full
+        for i in iter_bits(support):
+            d &= v[i] if pos >> i & 1 else space.full ^ v[i]
+        clopen |= d
+    return elem, clopen
+
+
+LIFT_SHAPES = [
+    ("nested", random_poset(6, 0.4, seed=3), 0b001111, 0b000110),
+    ("disjoint", random_poset(6, 0.4, seed=3), 0b000111, 0b111000),
+    ("overlapping", random_poset(6, 0.4, seed=3), 0b001111, 0b111100),
+    ("constant", random_poset(6, 0.4, seed=3), 0, 0b010101),
+    ("same", random_poset(6, 0.4, seed=3), 0b101010, 0b101010),
+    ("wide", antichain(12), 0b000000111111, 0b111111000000),
+]
+
+
+@pytest.mark.parametrize("name,p,s1,s2", LIFT_SHAPES, ids=[s[0] for s in LIFT_SHAPES])
+def test_lift_matches_stone_oracle(name, p, s1, s2):
+    space = stone.StoneSpace(p)
+    rng = random.Random(name)
+    for _ in range(2 if name == "wide" else 6):
+        a, da = _operand(p, space, s1, rng)
+        b, db = _operand(p, space, s2, rng)
+        # b padded with a zero on a's support: a different support, same clopen
+        pad = algebra.join(b, algebra.meet(algebra.zero(p), a))
+        for (x, dx), (y, dy) in [((a, da), (b, db)), ((pad, db), (b, db)), ((a, da), (pad, db))]:
+            assert stone.denote_elem(space, algebra.meet(x, y)) == dx & dy
+            assert stone.denote_elem(space, algebra.join(x, y)) == dx | dy
+            assert algebra.equals(x, y) == (dx == dy)
+            assert algebra.leq(x, y) == (dx & ~dy == 0)
+            assert algebra.leq(algebra.meet(x, y), x)
 
 
 # -- elementary products ----------------------------------------------------------
@@ -266,6 +317,65 @@ def test_canonical_key_decides_equality(case):
     p = POSET_POOL[idx]
     a, b = exprs.to_elem(p, xa), exprs.to_elem(p, xb)
     assert (algebra.canonical_key(a) == algebra.canonical_key(b)) == algebra.equals(a, b)
+
+
+def _oracle_reductions(p, points, clopen):
+    """Supports left by greedy removal in every order, each removal checked on the
+    Stone space: f drops i when it depends on R only through R & (S - i)."""
+
+    def factors(sub):
+        seen = {}
+        return all(
+            seen.setdefault(seg & sub, clopen >> k & 1) == clopen >> k & 1
+            for k, seg in enumerate(points)
+        )
+
+    out = set()
+    for order in permutations(range(p.n)):
+        support, changed = p.full, True
+        while changed:
+            changed = False
+            for i in order:
+                if support >> i & 1 and factors(support & ~(1 << i)):
+                    support &= ~(1 << i)
+                    changed = True
+        out.add(support)
+    return out
+
+
+def test_support_reduce_does_not_depend_on_removal_order():
+    rng = random.Random(2007)
+    for p in corpus.corpus_posets(4):
+        points = p.final_segment_masks()
+        for _ in range(12):
+            # a random table that depends on R only through R & dep
+            dep = rng.getrandbits(p.n) if rng.random() < 0.7 else p.full
+            g = {}
+            clopen = sum(
+                g.setdefault(seg & dep, rng.getrandbits(1)) << k for k, seg in enumerate(points)
+            )
+            (support,) = _oracle_reductions(p, points, clopen)
+            # the table on the minimal support, read off the oracle at upset(u)
+            truth = sum(
+                (clopen >> points.index(p.upset(u)) & 1) << k
+                for k, u in enumerate(p.upsets_of(support))
+            )
+            e = algebra.from_clopen(p, points, clopen)
+            r = algebra.support_reduce(e)
+            assert (r.support, r.truth) == (support, truth)
+            assert algebra.canonical_key(e) == (support, truth)
+            # the same element stored on every larger support reduces to the same key
+            extra = p.full & ~support
+            for more in range(extra + 1):
+                if more & ~extra:
+                    continue
+                wider = support | more
+                traces = p.upsets_of(wider)
+                table = sum(
+                    (clopen >> points.index(p.upset(u)) & 1) << k for k, u in enumerate(traces)
+                )
+                key = algebra.canonical_key(algebra.AlgebraElem(p, wider, table, traces))
+                assert key == (support, truth)
 
 
 # -- the expression grammar ----------------------------------------------------------------

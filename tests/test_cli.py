@@ -52,6 +52,22 @@ def test_poset_check_parse_error(runner, tmp_path):
     assert json.loads(result.output)["error"] == "parse"
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"elements": ["a", "b", "c"], "le": [["a", "b", "c"]]},
+        {"elements": ["a", "b"], "le": ["ab"]},
+        {"elements": "ab", "le": []},
+    ],
+)
+def test_poset_check_malformed_shape_is_parse_error(runner, tmp_path, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    result = runner.invoke(main, ["poset", "check", str(bad)])
+    assert result.exit_code == 2
+    assert json.loads(result.output)["error"] == "parse"
+
+
 def test_poset_show(runner, v3_file):
     result = runner.invoke(main, ["poset", "show", v3_file])
     assert result.exit_code == 0

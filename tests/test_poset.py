@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import brute_final_segments, brute_initial_segments
 from posetalg import corpus
-from posetalg.errors import CycleError, DuplicateName, SizeLimit, UnknownElement
+from posetalg.errors import CycleError, DuplicateName, NotAnOrder, SizeLimit, UnknownElement
 from posetalg.poset import (
+    Poset,
     antichain,
     build_poset,
     chain,
@@ -34,6 +35,17 @@ def test_cycle_rejected():
     with pytest.raises(CycleError) as err:
         build_poset(["0", "1"], [("0", "1"), ("1", "0")])
     assert set(err.value.witness) == {"0", "1"}
+
+
+def test_poset_rows_validated_by_raising():
+    # typed errors, not asserts, so the checks hold under python -O as well
+    with pytest.raises(CycleError) as err:
+        Poset(["a", "b"], [0b11, 0b11])
+    assert set(err.value.witness) == {"a", "b"}
+    with pytest.raises(NotAnOrder, match="reflexive"):
+        Poset(["a", "b"], [0b01, 0b00])
+    with pytest.raises(NotAnOrder, match="transitive"):
+        Poset(["a", "b", "c"], [0b011, 0b110, 0b100])
 
 
 def test_transitivity_inferred():
