@@ -3,16 +3,15 @@
 Exhaustive non-isomorphic posets for small sizes (every poset is isomorphic
 to one whose order is a suborder of the numeric order, so enumerating closed
 up-edge sets and deduplicating by a canonical relabeling covers them all),
-plus named fixtures and seeded random posets for larger sizes.
+plus named fixtures.  The suites add seeded random posets for larger sizes.
 """
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .poset import Poset, build_poset, random_poset
+from .poset import Poset, build_poset
 
 
 def _canon(rows, n):
@@ -91,11 +90,3 @@ def v3():
     """The three-element fence a < c > b."""
     return build_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
 
-
-def random_corpus(count, size, seed, densities=(0.2, 0.35, 0.5)):
-    rng = random.Random(seed)
-    out = []
-    for k in range(count):
-        density = densities[k % len(densities)]
-        out.append(random_poset(size, density, rng.randrange(1 << 30)))
-    return out

@@ -20,7 +20,6 @@ from .poset import iter_bits, popcount
 
 DEFAULT_ENUM_CAP = 1 << 20
 DEFAULT_LATTICE_CLOSURE_CAP = 1 << 14
-DILWORTH_EXACT_LIMIT = 400
 
 
 # -- product terms -------------------------------------------------------------
@@ -239,14 +238,10 @@ def enumerate_pi_terms(poset, include_unit=True):
     return [ProductTerm(poset, m) for m in enumerate_pi(poset, include_unit)]
 
 
-def _antichains_of_index_order(leq_rows, max_count):
-    """Antichains (as index masks) of a finite order given by leq bit rows."""
-    n = len(leq_rows)
-    comp = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and (leq_rows[i] >> j & 1 or leq_rows[j] >> i & 1):
-                comp[i] |= 1 << j
+def _antichains_of_index_order(rows, max_count):
+    """Antichains (as index masks) of a finite order given by strict bit rows."""
+    n = len(rows)
+    comp = [r | b for r, b in zip(rows, _transpose(rows))]
     out = []
     stack = [(0, 0)]
     while stack:
@@ -276,13 +271,7 @@ def enumerate_l(
     pis = enumerate_pi(
         poset, include_unit=include_unit, max_size=max_term_size, max_count=max_count
     )
-    rows = []
-    for s in pis:
-        row = 0
-        for j, t in enumerate(pis):
-            if pi_leq_masks(poset, s, t):
-                row |= 1 << j
-        rows.append(row)
+    rows = _strict_less_rows(term_segments(poset, pis))
     out = []
     for mask in _antichains_of_index_order(rows, max_count):
         terms = frozenset(pis[i] for i in iter_bits(mask))
@@ -328,9 +317,15 @@ def lattice_closure(poset, gens, cap=DEFAULT_LATTICE_CLOSURE_CAP):
 # -- order isomorphism with the initial segments ---------------------------------
 
 
+def term_segments(poset, sigmas):
+    """Initial segment of each product term: P minus the final segment that
+    sigma generates.  x_s <= x_t iff the segment of s is inside that of t."""
+    return [poset.full ^ poset.upset(s) for s in sigmas]
+
+
 def is_iso_IS_to_Pi(poset):
-    """Check that sigma -> (complement of the segment sigma generates) is an
-    order isomorphism from the product terms onto the initial segments.
+    """Check that ``term_segments`` is an order isomorphism from the product
+    terms onto the initial segments.
 
     Returns None when it is, else a dict describing the first failure.
     """
@@ -338,8 +333,7 @@ def is_iso_IS_to_Pi(poset):
     segments = set(poset.initial_segments())
     image = {}
     seen = set()
-    for s in pis:
-        seg = poset.full ^ poset.upset(s)
+    for s, seg in zip(pis, term_segments(poset, pis)):
         if seg not in segments:
             return {"reason": "image not an initial segment", "sigma": s}
         if seg in seen:
@@ -361,138 +355,149 @@ def is_iso_IS_to_Pi(poset):
 
 
 # -- antichain / chain mining -----------------------------------------------------
+#
+# Every order mined here is given as one bitmask per item, with item a below
+# item b iff masks[a] is a subset of masks[b]: product terms by their initial
+# segments (``term_segments``), poset elements by their down-sets.
 
 
-def _strict_less_rows(items, leq_fn):
-    n = len(items)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq_fn(items[i], items[j]) and not leq_fn(items[j], items[i]):
-                rows[i] |= 1 << j
+def _strict_less_rows(masks):
+    """Row a holds every item b with masks[a] a proper subset of masks[b].
+
+    Built from one column per mask bit (the items having that bit): row a is
+    the AND of the columns of the bits of masks[a], less the items whose mask
+    equals it, so a row costs one AND per bit instead of a comparison per item.
+    """
+    everything = (1 << len(masks)) - 1
+    cols = {}
+    same = {}
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        same[m] = same.get(m, 0) | bit
+        for k in iter_bits(m):
+            cols[k] = cols.get(k, 0) | bit
+    rows = []
+    for m in masks:
+        above = everything
+        for k in iter_bits(m):
+            above &= cols[k]
+        rows.append(above ^ same[m])
     return rows
 
 
-def _hopcroft_karp(adj, n_left, n_right):
-    """Maximum bipartite matching; returns (match_l, match_r)."""
-    inf = float("inf")
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
+def _transpose(rows):
+    """Rows of the converse relation: bit i of out[j] iff bit j of rows[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in iter_bits(row):
+            out[j] |= 1 << i
+    return out
+
+
+def _hopcroft_karp(rows):
+    """Maximum matching of the bipartite graph joining left u to right v iff
+    bit v of rows[u] is set, with an iterative augmenting search.
+
+    Returns (left, right): the vertices that alternating paths from the
+    unmatched left vertices reach once no augmenting path is left, as masks.
+    """
+    n = len(rows)
+    match_l = [-1] * n
+    match_r = [-1] * n
     while True:
-        dist = [inf] * n_left
-        queue = deque()
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-        reachable_free = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
+        # layered search from the unmatched left vertices; allowed[d] holds
+        # the right vertices a path may take from layer d: those matched to
+        # layer d + 1, or from the last layer the unmatched ones
+        dist = [-1] * n
+        layer = [u for u in range(n) if match_l[u] == -1]
+        for u in layer:
+            dist[u] = 0
+        reached_l = sum(1 << u for u in layer)
+        reached_r = 0
+        allowed = []
+        free_r = 0
+        while layer and not free_r:
+            nxt = []
+            step = 0
+            for u in layer:
+                new = rows[u] & ~reached_r
+                reached_r |= new
+                for v in iter_bits(new):
+                    w = match_r[v]
+                    if w == -1:
+                        free_r |= 1 << v
+                    else:
+                        dist[w] = len(allowed) + 1
+                        reached_l |= 1 << w
+                        step |= 1 << v
+                        nxt.append(w)
+            allowed.append(step)
+            layer = nxt
+        if not free_r:
+            return reached_l, reached_r
+        allowed[-1] = free_r  # shortest augmenting paths end on the last layer
+        used = 0  # right vertices tried in this phase
+        for root in range(n):
+            if match_l[root] != -1:
+                continue
+            path = [root]  # left vertices of the alternating path
+            via = []  # right vertex taken out of each of them
+            while path:
+                u = path[-1]
+                cand = rows[u] & allowed[dist[u]] & ~used
+                if not cand:
+                    path.pop()
+                    if via:
+                        via.pop()
+                    continue
+                low = cand & -cand
+                used |= low
+                v = low.bit_length() - 1
+                via.append(v)
                 w = match_r[v]
                 if w == -1:
-                    reachable_free = True
-                elif dist[w] is inf:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if not reachable_free:
-            break
-
-        def dfs(u):
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                    match_l[u] = v
-                    match_r[v] = u
-                    return True
-            dist[u] = inf
-            return False
-
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dfs(u)
-    return match_l, match_r
+                    for a, b in zip(path, via):
+                        match_l[a] = b
+                        match_r[b] = a
+                    break
+                path.append(w)
 
 
-def max_antichain(items, leq_fn, exact_limit=DILWORTH_EXACT_LIMIT):
-    """Maximum antichain of a finite order.
+def max_antichain(items, masks):
+    """Maximum antichain of the items ordered by inclusion of their masks.
 
-    Exact (Dilworth via bipartite matching and Koenig's construction) up to
-    ``exact_limit`` items; beyond that a greedy certified antichain (largest
-    height level) is returned and flagged approximate.
-    Returns (members, exact_flag).
+    Exact at any size: Dilworth's theorem through a Hopcroft-Karp matching of
+    the strict order and Koenig's vertex cover.  Returns (members, True); the
+    flag records that the width is certified.
     """
-    n = len(items)
-    if n == 0:
+    if not items:
         return [], True
-    rows = _strict_less_rows(items, leq_fn)
-    if n <= exact_limit:
-        adj = [list(iter_bits(rows[i])) for i in range(n)]
-        match_l, match_r = _hopcroft_karp(adj, n, n)
-        # Koenig: alternating reachability from unmatched left vertices
-        seen_l = [False] * n
-        seen_r = [False] * n
-        queue = deque(u for u in range(n) if match_l[u] == -1)
-        for u in queue:
-            seen_l[u] = True
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen_r[v] and match_l[u] != v:
-                    seen_r[v] = True
-                    w = match_r[v]
-                    if w != -1 and not seen_l[w]:
-                        seen_l[w] = True
-                        queue.append(w)
-        # cover = unreachable left + reachable right; antichain avoids both
-        members = [
-            items[i] for i in range(n) if seen_l[i] and not seen_r[i]
-        ]
-        return members, True
-    heights = _heights(rows)
-    counts = {}
-    for h in heights:
-        counts[h] = counts.get(h, 0) + 1
-    best = max(sorted(counts), key=lambda h: (counts[h], -h))
-    members = [items[i] for i in range(n) if heights[i] == best]
-    return members, False
+    left, right = _hopcroft_karp(_strict_less_rows(masks))
+    # Koenig: the cover is the unreached left plus the reached right vertices
+    return [items[i] for i in iter_bits(left & ~right)], True
 
 
-def _heights(rows):
-    """Longest-chain-below height per item of a strict order given by rows."""
-    n = len(rows)
-    below = [0] * n
-    for i in range(n):
-        for j in iter_bits(rows[i]):
-            below[j] |= 1 << i
+def _heights(below):
+    """Longest-chain-below height per item, given the strictly-below rows."""
+    n = len(below)
     heights = [-1] * n
-    order = sorted(range(n), key=lambda i: popcount(below[i]))
-    for i in order:
-        h = 0
-        for j in iter_bits(below[i]):
-            h = max(h, heights[j] + 1)
-        heights[i] = h
+    for i in sorted(range(n), key=lambda i: popcount(below[i])):
+        heights[i] = max((heights[j] + 1 for j in iter_bits(below[i])), default=0)
     return heights
 
 
-def longest_descending_chain(items, leq_fn):
-    """A longest strictly descending chain, as a list of items."""
-    n = len(items)
-    if n == 0:
+def longest_descending_chain(items, masks):
+    """A longest strictly descending chain of the items ordered by inclusion
+    of their masks, as a list of items."""
+    if not items:
         return []
-    rows = _strict_less_rows(items, leq_fn)
-    heights = _heights(rows)
-    start = max(range(n), key=lambda i: heights[i])
-    chain = [start]
-    current = start
+    below = _transpose(_strict_less_rows(masks))
+    heights = _heights(below)
+    current = max(range(len(items)), key=lambda i: heights[i])
+    chain = [current]
     while heights[current] > 0:
-        below = 0
-        for i in range(n):
-            if rows[i] >> current & 1:
-                below |= 1 << i
-        nxt = next(
-            j for j in iter_bits(below) if heights[j] == heights[current] - 1
+        current = next(
+            j for j in iter_bits(below[current]) if heights[j] == heights[current] - 1
         )
-        chain.append(nxt)
-        current = nxt
+        chain.append(current)
     return [items[i] for i in chain]

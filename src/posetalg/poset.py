@@ -109,10 +109,6 @@ class Poset:
     def leq(self, p, q):
         return bool(self.up[self.id(p)] >> self.id(q) & 1)
 
-    def lt(self, p, q):
-        i, j = self.id(p), self.id(q)
-        return i != j and bool(self.up[i] >> j & 1)
-
     def incomparable(self, p, q):
         i, j = self.id(p), self.id(q)
         return not (self.up[i] >> j & 1) and not (self.up[j] >> i & 1)
@@ -157,9 +153,6 @@ class Poset:
 
     def is_up_closed(self, mask):
         return self.upset(mask) == mask
-
-    def is_down_closed(self, mask):
-        return self.downset(mask) == mask
 
     def linear_extension(self):
         return list(self._topo)
@@ -246,9 +239,6 @@ class Poset:
                 row |= 1 << pos[q]
             rows.append(row)
         return Poset([self.names[p] for p in ids], rows), ids
-
-    def relabeled(self, prefix):
-        return Poset([f"{prefix}{s}" for s in self.names], self.up)
 
 
 # -- construction ------------------------------------------------------------

@@ -38,16 +38,6 @@ class StoneSpace:
     def full(self):
         return (1 << len(self.points)) - 1
 
-    def point_id(self, segment):
-        try:
-            return self.index[segment]
-        except KeyError:
-            raise NotUpClosed(f"not a final segment: {segment:b}") from None
-
-
-def final_segments(poset, max_count=None):
-    return StoneSpace(poset, max_count)
-
 
 def v_set(space, p):
     """Clopen denotation of a generator: segments containing p."""

@@ -29,7 +29,6 @@ class SuiteConfig:
     horizon: int = 12
     strict: bool = False
     random_per_size: int = 20
-    exact_antichain_limit: int = 400
 
 
 class _Recorder:
@@ -373,11 +372,7 @@ def suite_rado(config):
         t0 = rec.timed()
         poset = rado_prefix(n)
         pis = lattice.enumerate_pi(poset, include_unit=False)
-        members, exact = lattice.max_antichain(
-            pis,
-            lambda s, t: lattice.pi_leq_masks(poset, s, t),
-            exact_limit=config.exact_antichain_limit,
-        )
+        members, exact = lattice.max_antichain(pis, lattice.term_segments(poset, pis))
         widths.append(len(members))
         ok = len(members) >= n - 1
         rec.add(f"rado{n}", {"products": len(pis), "exact": exact},

@@ -140,15 +140,11 @@ def labeling_from_json(data):
 
 def narrowness_probe(poset):
     """Exact maximum antichain size of the poset itself."""
-    members, _exact = lattice.max_antichain(
-        list(range(poset.n)), lambda a, b: bool(poset.up[a] >> b & 1)
-    )
+    members, _exact = lattice.max_antichain(list(range(poset.n)), poset.down)
     return len(members)
 
 
 def wellfoundedness_probe(poset):
     """Length (element count) of a longest strictly descending chain."""
-    chain = lattice.longest_descending_chain(
-        list(range(poset.n)), lambda a, b: bool(poset.up[a] >> b & 1)
-    )
+    chain = lattice.longest_descending_chain(list(range(poset.n)), poset.down)
     return len(chain)

@@ -58,6 +58,8 @@ def test_poset_check_parse_error(runner, tmp_path):
         {"elements": ["a", "b", "c"], "le": [["a", "b", "c"]]},
         {"elements": ["a", "b"], "le": ["ab"]},
         {"elements": "ab", "le": []},
+        {"elements": [["a"], "b"], "le": []},
+        {"elements": ["a", "b"], "le": [[["a"], "b"]]},
     ],
 )
 def test_poset_check_malformed_shape_is_parse_error(runner, tmp_path, data):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from conftest import brute_max_antichain_size
 from posetalg import algebra, corpus, lattice, stone
 from posetalg.errors import PosetMismatch
-from posetalg.poset import antichain, chain, iter_bits, popcount, rado_prefix, random_poset
+from posetalg.poset import Poset, antichain, chain, rado_prefix, random_poset
 
 
 def term_str_set(poset, masks):
@@ -225,30 +225,56 @@ def test_is_iso_examples(v3):
 # -- antichain mining ---------------------------------------------------------------------------
 
 
+def _leq_strict_rows(items, leq_fn):
+    """Reference strict-order rows by a double loop over leq_fn."""
+    rows = [0] * len(items)
+    for i, a in enumerate(items):
+        for j, b in enumerate(items):
+            if i != j and leq_fn(a, b) and not leq_fn(b, a):
+                rows[i] |= 1 << j
+    return rows
+
+
+def test_strict_less_rows_match_pi_leq():
+    posets = [p for p in corpus.corpus_posets(5)] + [rado_prefix(4), rado_prefix(5)]
+    for p in posets:
+        pis = lattice.enumerate_pi(p)
+        expected = _leq_strict_rows(pis, lambda s, t: lattice.pi_leq_masks(p, s, t))
+        assert lattice._strict_less_rows(lattice.term_segments(p, pis)) == expected
+
+
+def test_strict_less_rows_equal_masks_not_below():
+    assert lattice._strict_less_rows([0b01, 0b11, 0b01, 0b11]) == [0b1010, 0, 0b1010, 0]
+
+
 def test_max_antichain_pi_v3(v3):
     pis = lattice.enumerate_pi(v3)
-    members, exact = lattice.max_antichain(
-        pis, lambda s, t: lattice.pi_leq_masks(v3, s, t)
-    )
+    members, exact = lattice.max_antichain(pis, lattice.term_segments(v3, pis))
     assert exact and term_str_set(v3, members) == {"x{a}", "x{b}"}
 
 
 def test_max_antichain_chain_pi():
     c = chain(4)
     pis = lattice.enumerate_pi(c, include_unit=False)
-    members, exact = lattice.max_antichain(
-        pis, lambda s, t: lattice.pi_leq_masks(c, s, t)
-    )
+    members, exact = lattice.max_antichain(pis, lattice.term_segments(c, pis))
     assert exact and len(members) == 1
 
 
 def test_max_antichain_rado_products():
     p = rado_prefix(5)
     pis = lattice.enumerate_pi(p, include_unit=False)
-    members, exact = lattice.max_antichain(
-        pis, lambda s, t: lattice.pi_leq_masks(p, s, t)
-    )
+    members, exact = lattice.max_antichain(pis, lattice.term_segments(p, pis))
     assert exact and len(members) >= 4
+
+
+def test_max_antichain_rado6_products_exact():
+    p = rado_prefix(6)
+    pis = lattice.enumerate_pi(p, include_unit=False)
+    members, exact = lattice.max_antichain(pis, lattice.term_segments(p, pis))
+    assert exact and len(members) == 148
+    for s in members:
+        for t in members:
+            assert s == t or not lattice.pi_leq_masks(p, s, t)
 
 
 @settings(max_examples=25, deadline=None)
@@ -256,23 +282,28 @@ def test_max_antichain_rado_products():
 def test_exact_antichain_matches_brute_force(n, density, seed):
     p = random_poset(n, density, seed)
     items = list(range(n))
-    leq = lambda a, b: p.leq(a, b)
-    members, exact = lattice.max_antichain(items, leq)
+    members, exact = lattice.max_antichain(items, p.down)
     assert exact
-    assert len(members) == brute_max_antichain_size(items, leq)
+    assert len(members) == brute_max_antichain_size(items, p.leq)
     for x in members:
         for y in members:
             assert x == y or p.incomparable(x, y)
 
 
-def test_greedy_antichain_flagged():
-    p = rado_prefix(4)
-    items = list(range(p.n))
-    members, exact = lattice.max_antichain(items, p.leq, exact_limit=3)
-    assert not exact
-    for x in members:
-        for y in members:
-            assert x == y or p.incomparable(x, y)
+def test_max_antichain_deep_augmenting_paths():
+    # zigzag a_i < b_i, a_i < b_{i+1}; ids a_0..a_k, then b_k..b_0
+    k = 1500
+    names = [f"a{i}" for i in range(k + 1)] + [f"b{j}" for j in range(k, -1, -1)]
+
+    def b(j):
+        return 2 * k + 1 - j
+
+    up = [1 << i | 1 << b(i) | (1 << b(i + 1) if i < k else 0) for i in range(k + 1)]
+    up += [1 << i for i in range(k + 1, 2 * k + 2)]
+    p = Poset(names, up)
+    members, exact = lattice.max_antichain(list(range(p.n)), p.down)
+    assert exact and len(members) == k + 1
+    assert p.is_antichain(sum(1 << i for i in members))
 
 
 @settings(max_examples=25, deadline=None)
@@ -281,7 +312,7 @@ def test_longest_chain_matches_brute_force(n, density, seed):
     from conftest import brute_longest_chain
 
     p = random_poset(n, density, seed)
-    chain_items = lattice.longest_descending_chain(list(range(n)), p.leq)
+    chain_items = lattice.longest_descending_chain(list(range(n)), p.down)
     assert len(chain_items) == brute_longest_chain(list(range(n)), p.leq)
     for a, b in zip(chain_items, chain_items[1:]):
         assert p.leq(b, a) and not p.leq(a, b)
@@ -293,12 +324,13 @@ def test_descending_chain_of_lattice_is_height():
     for p in corpus.corpus_posets(3):
         elems = lattice.enumerate_l(p)
         space = stone.StoneSpace(p)
-        dens = {id(e): stone.denote_elem(space, e.to_elem()) for e in elems}
-        leq = lambda a, b: dens[id(a)] & ~dens[id(b)] == 0
-        chain_items = lattice.longest_descending_chain(elems, leq)
+        dens = [stone.denote_elem(space, e.to_elem()) for e in elems]
+        chain_items = lattice.longest_descending_chain(elems, dens)
         for a, b in zip(chain_items, chain_items[1:]):
             assert lattice.l_leq(b, a) and not lattice.l_leq(a, b)
         # the mined chain length is the exact height of the enumerated lattice
+        den = {id(e): d for e, d in zip(elems, dens)}
+        leq = lambda a, b: den[id(a)] & ~den[id(b)] == 0
         assert len(chain_items) == brute_longest_chain(elems, leq)
 
 

@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_max_antichain_size, brute_longest_chain
-from posetalg import wqo
+from posetalg import lattice, wqo
 from posetalg.errors import BadArity, UnknownElement
-from posetalg.poset import antichain, chain, rado_prefix, random_poset
+from posetalg.poset import antichain, build_poset, chain, rado_prefix, random_poset
 
 
 def test_front_blocks():
@@ -131,6 +131,20 @@ def test_probe_examples():
     r5 = rado_prefix(5)
     assert wqo.narrowness_probe(r5) == 5
     assert wqo.wellfoundedness_probe(r5) == 5
+
+
+def test_narrowness_probe_is_exact_past_400_elements():
+    # comb: chain c_0 < ... < c_250 with a tooth d_j above c_{j-1}
+    names = [f"c{i}" for i in range(251)] + [f"d{j}" for j in range(1, 251)]
+    pairs = [(f"c{i}", f"c{i + 1}") for i in range(250)]
+    pairs += [(f"c{j - 1}", f"d{j}") for j in range(1, 251)]
+    p = build_poset(names, pairs)
+    assert wqo.narrowness_probe(p) == 251
+    members, _exact = lattice.max_antichain(list(range(p.n)), p.down)
+    assert len(members) == 251
+    for a in members:
+        for b in members:
+            assert a == b or p.incomparable(a, b)
 
 
 @settings(max_examples=30, deadline=None)
