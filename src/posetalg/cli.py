@@ -23,24 +23,12 @@ def _emit(data, human, out=None):
     click.echo(text)
 
 
-def _is_name(p):
-    return isinstance(p, (str, int)) and not isinstance(p, bool)
-
-
 def _load_poset(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        elements, le = data["elements"], data["le"]
-        if not isinstance(elements, list) or not all(map(_is_name, elements)) or not all(
-            isinstance(p, list) and len(p) == 2 and all(map(_is_name, p)) for p in le
-        ):
-            raise TypeError(
-                "'elements' must be a list of string or integer names"
-                " and each 'le' entry a pair of them"
-            )
-        pairs = [tuple(p) for p in le]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        elements, pairs = poset_mod.parse_json_dict(data)
+    except (OSError, json.JSONDecodeError, ParseError) as exc:
         click.echo(json.dumps({"error": "parse", "detail": str(exc)}))
         sys.exit(2)
     return data, elements, pairs

@@ -14,30 +14,37 @@ from itertools import combinations, permutations
 from .poset import Poset, build_poset
 
 
-def _canon(rows, n):
-    """Minimal relabeled relation matrix, as a tuple of row masks."""
-    best = None
+def _relabel_tables(n):
+    """One entry per permutation perm of range(n): (inverse, table).
+
+    ``table[row]`` is the row mask with bit j moved to bit perm[j]; it is built
+    by doubling, one element at a time, so a relabeled row costs one lookup.
+    Row k of the relabeled matrix is ``table[rows[inverse[k]]]``.
+    """
+    out = []
     for perm in permutations(range(n)):
-        out = [0] * n
-        for i in range(n):
-            row = 0
-            src = rows[i]
-            for j in range(n):
-                if src >> j & 1:
-                    row |= 1 << perm[j]
-            out[perm[i]] = row
-        key = tuple(out)
-        if best is None or key < best:
-            best = key
-    return best
+        table = [0]
+        for j in range(n):
+            bit = 1 << perm[j]
+            table += [t | bit for t in table]
+        inverse = sorted(range(n), key=perm.__getitem__)
+        out.append((inverse, table))
+    return out
 
 
 @lru_cache(maxsize=None)
 def all_posets(n):
-    """All posets on n elements up to isomorphism (names '0'..'n-1')."""
+    """All posets on n elements up to isomorphism (names '0'..'n-1').
+
+    Scans every set of up-edges i -> j (i < j) in mask order and keeps the
+    first closure met of each isomorphism class, as its minimal relabeled
+    relation matrix.  A closure seen before is skipped before relabeling.
+    """
     if n == 0:
         return (build_poset([], []),)
     pairs = list(combinations(range(n), 2))
+    tables = _relabel_tables(n)
+    closures = set()
     seen = set()
     out = []
     for mask in range(1 << len(pairs)):
@@ -50,7 +57,11 @@ def all_posets(n):
             for i in range(n):
                 if rows[i] >> k & 1:
                     rows[i] |= rk
-        key = _canon(rows, n)
+        closure = tuple(rows)
+        if closure in closures:
+            continue
+        closures.add(closure)
+        key = min(tuple([table[rows[i]] for i in inverse]) for inverse, table in tables)
         if key not in seen:
             seen.add(key)
             out.append(Poset([str(i) for i in range(n)], list(key)))

@@ -361,28 +361,33 @@ def is_iso_IS_to_Pi(poset):
 # segments (``term_segments``), poset elements by their down-sets.
 
 
-def _strict_less_rows(masks):
-    """Row a holds every item b with masks[a] a proper subset of masks[b].
+def _subset_rows(queries, masks):
+    """Yield for each query the row of every j with the query a subset of masks[j].
 
-    Built from one column per mask bit (the items having that bit): row a is
-    the AND of the columns of the bits of masks[a], less the items whose mask
-    equals it, so a row costs one AND per bit instead of a comparison per item.
+    Built from one column per mask bit (the items j having that bit): a row is
+    the AND of the columns of the bits of its query.  Rows come one at a time,
+    so a caller that only scans them never holds the whole matrix.
     """
     everything = (1 << len(masks)) - 1
     cols = {}
-    same = {}
-    for i, m in enumerate(masks):
-        bit = 1 << i
-        same[m] = same.get(m, 0) | bit
+    for j, m in enumerate(masks):
+        bit = 1 << j
         for k in iter_bits(m):
             cols[k] = cols.get(k, 0) | bit
-    rows = []
-    for m in masks:
-        above = everything
-        for k in iter_bits(m):
-            above &= cols[k]
-        rows.append(above ^ same[m])
-    return rows
+    for q in queries:
+        row = everything
+        for k in iter_bits(q):
+            row &= cols.get(k, 0)
+        yield row
+
+
+def _strict_less_rows(masks):
+    """Row a holds every item b with masks[a] a proper subset of masks[b]:
+    the subset rows less the items whose mask equals masks[a]."""
+    same = {}
+    for i, m in enumerate(masks):
+        same[m] = same.get(m, 0) | 1 << i
+    return [row ^ same[m] for row, m in zip(_subset_rows(masks, masks), masks)]
 
 
 def _transpose(rows):

@@ -16,6 +16,7 @@ from .errors import (
     DuplicateName,
     EnumerationOverflow,
     NotAnOrder,
+    ParseError,
     SizeLimit,
     UnknownElement,
 )
@@ -271,12 +272,44 @@ def _close_and_check(names, pairs):
 
 
 def build_poset(names, relations):
-    """Poset from Hasse-style input: closes the pairs transitively."""
-    return _close_and_check(list(names), list(relations))
+    """Poset from Hasse-style input: closes the pairs transitively.
+
+    Names are made strings here, so the JSON name 1 is the element '1'; an
+    int given to ``Poset.id`` stays an id.
+    """
+    return _close_and_check(
+        [str(name) for name in names], [(str(a), str(b)) for a, b in relations]
+    )
+
+
+def _is_name(p):
+    return isinstance(p, (str, int)) and not isinstance(p, bool)
+
+
+def parse_json_dict(data):
+    """(elements, pairs) of ``{"elements": [...], "le": [[a, b], ...]}``.
+
+    Names must be strings or integers; any other shape raises ParseError.
+    """
+    try:
+        elements, le = data["elements"], data["le"]
+    except (KeyError, TypeError):
+        raise ParseError("a poset needs 'elements' and 'le' keys") from None
+    if not (
+        isinstance(elements, list)
+        and all(map(_is_name, elements))
+        and isinstance(le, list)
+        and all(isinstance(p, list) and len(p) == 2 and all(map(_is_name, p)) for p in le)
+    ):
+        raise ParseError(
+            "'elements' must be a list of string or integer names"
+            " and each 'le' entry a pair of them"
+        )
+    return elements, [tuple(p) for p in le]
 
 
 def from_json_dict(data):
-    return build_poset(data["elements"], [tuple(p) for p in data["le"]])
+    return build_poset(*parse_json_dict(data))
 
 
 def load_json(path):

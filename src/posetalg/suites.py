@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from . import algebra, corpus, lattice, morphisms, stone, wqo
 from .errors import PremiseFailed
 from .poset import antichain, chain, iter_bits, linear_augmentation, rado_prefix, random_poset
@@ -234,10 +232,10 @@ def _l_leq_vs_oracle(poset, space, pis, dens, include_unit):
             if lattice.pi_leq_masks(poset, s, t):
                 col |= 1 << i
         below_col.append(col)
-    term_mask = np.empty(len(elems), dtype=np.uint64)
-    covered = np.empty(len(elems), dtype=np.uint64)
-    den = np.empty(len(elems), dtype=np.uint64)
-    for k, e in enumerate(elems):
+    term_mask = []
+    covered = []
+    den = []
+    for e in elems:
         tm = 0
         cov = 0
         dn = 0
@@ -246,22 +244,18 @@ def _l_leq_vs_oracle(poset, space, pis, dens, include_unit):
             tm |= 1 << idx
             cov |= below_col[idx]
             dn |= dens[idx]
-        term_mask[k] = tm
-        covered[k] = cov
-        den[k] = dn
+        term_mask.append(tm)
+        covered.append(cov)
+        den.append(dn)
     n = len(elems)
     witness = None
-    block = max(1, (1 << 22) // max(n, 1))
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        sym = (term_mask[lo:hi, None] & ~covered[None, :]) == 0
-        orc = (den[lo:hi, None] & ~den[None, :]) == 0
-        bad = sym != orc
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            a, b = elems[lo + int(i)], elems[int(j)]
-            witness = {"a": str(a), "b": str(b),
-                       "l_leq": bool(sym[i, j]), "oracle": bool(orc[i, j])}
+    sym_rows = lattice._subset_rows(term_mask, covered)
+    orc_rows = lattice._subset_rows(den, den)
+    for i, (sym, orc) in enumerate(zip(sym_rows, orc_rows)):
+        if sym != orc:
+            j = next(iter_bits(sym ^ orc))
+            witness = {"a": str(elems[i]), "b": str(elems[j]),
+                       "l_leq": bool(sym >> j & 1), "oracle": bool(orc >> j & 1)}
             break
     return {"cases": n * n, "witness": witness}
 
@@ -597,15 +591,12 @@ def suite_relativize(config):
                 break
 
             m = len(sub_space.points)
-            ys = np.arange(1 << m, dtype=np.uint64)
-            img = np.zeros(1 << m, dtype=np.uint64)
+            atom_img = [0] * m
             for pos, k in enumerate(inside):
-                img |= ((ys >> np.uint64(trace_idx[pos])) & np.uint64(1)) << np.uint64(k)
-            if len(np.unique(img)) != 1 << m:
-                witness = {"q": poset.names[q], "reason": "not injective"}
-                break
-            if int(img[-1]) != vq:
-                witness = {"q": poset.names[q], "reason": "unit mismatch"}
+                atom_img[trace_idx[pos]] |= 1 << k
+            reason = _atom_partition_fault(atom_img, vq)
+            if reason:
+                witness = {"q": poset.names[q], "reason": reason}
                 break
 
             # spot-check the definitional route against the transfer route
@@ -613,7 +604,7 @@ def suite_relativize(config):
                 cases += 1
                 y = stone.elem_from_clopen(sub_space, y_mask)
                 den = stone.denote_elem(space, rel.apply(y))
-                if den != int(img[y_mask]):
+                if den != stone.denote_and_map(sub_space, atom_img, y_mask):
                     witness = {"q": poset.names[q], "reason": "route mismatch",
                                "y": y_mask}
                     break
@@ -622,6 +613,23 @@ def suite_relativize(config):
         rec.add(label, {"qs": poset.n}, witness is None, witness, cases,
                 (rec.timed() - t0) * 1000)
     return rec, {}
+
+
+def _atom_partition_fault(atom_img, unit):
+    """Why y -> OR of atom_img over the bits of y is no isomorphism onto the
+    clopens below unit, or None.
+
+    That needs every atom image nonzero and the images pairwise disjoint
+    (then the map is injective), and their union equal to the unit.
+    """
+    union = 0
+    for img in atom_img:
+        if not img or img & union:
+            return "not injective"
+        union |= img
+    if union != unit:
+        return "unit mismatch"
+    return None
 
 
 def _sample_masks(rng, space_size, count):

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from . import lattice
 from .errors import BadArity, UnknownElement
-from .poset import rado_prefix
+from .poset import from_json_dict, rado_prefix
 
 
 class Front:
@@ -126,11 +126,15 @@ def classify_array(arr):
 
 def labeling_from_json(data):
     """Ingest {"k":…, "N":…, "labels": {"0,1": "(0,1)", …}} or the shorthand
-    {"generator": "rado-identity", "N": …}."""
+    {"generator": "rado-identity", "N": …}.
+
+    The labels name elements of the Rado prefix on N, or of an optional
+    ``"poset"`` object in the shape of ``poset.from_json_dict`` (anything else
+    there raises ParseError)."""
     if data.get("generator") == "rado-identity":
         return rado_identity_labeling(int(data["N"]))
     fr = Front(int(data["k"]), int(data["N"]))
-    poset = rado_prefix(int(data["N"])) if "poset" not in data else data["poset"]
+    poset = from_json_dict(data["poset"]) if "poset" in data else rado_prefix(int(data["N"]))
     label = {}
     for key, value in data["labels"].items():
         block = tuple(int(x) for x in key.split(","))

@@ -3,7 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from posetalg import algebra, exprs
 from posetalg.cli import main
+from posetalg.poset import build_poset
 
 
 @pytest.fixture
@@ -135,6 +137,20 @@ def test_alg_parse_error_exit_2(runner, v3_file):
     result = runner.invoke(main, ["alg", "eq", "-p", v3_file, "x(a) &", "x(a)"])
     assert result.exit_code == 2
     assert json.loads(result.output)["error"] == "parse"
+
+
+def test_alg_numeric_names_resolve(runner, tmp_path):
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps({"elements": [1, 0], "le": [[1, 0]]}))
+    result = runner.invoke(main, ["alg", "eq", "-p", str(path), "x(1) & x(0)", "x(1)", "--oracle"])
+    assert result.exit_code == 0, result.output
+    out = json.loads(result.output)
+    assert out["agreement"] is True
+    p = build_poset(["1", "0"], [("1", "0")])
+    e1, e2 = (exprs.to_elem(p, exprs.parse(t)) for t in ("x(1) & x(0)", "x(1)"))
+    assert out["verdict"] == algebra.equals(e1, e2)
+    result = runner.invoke(main, ["poset", "show", str(path)])
+    assert json.loads(result.output)["covers"] == [["1", "0"]]
 
 
 def test_alg_unknown_element_exit_2(runner, v3_file):

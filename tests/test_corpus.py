@@ -1,0 +1,67 @@
+"""The exhaustive corpus and the up-set enumerator against brute force."""
+
+from itertools import combinations, permutations
+
+import pytest
+
+from posetalg import corpus
+
+
+def reference_canon(rows, n):
+    """Minimal relabeled relation matrix, one bit test per entry and perm."""
+    best = None
+    for perm in permutations(range(n)):
+        out = [0] * n
+        for i in range(n):
+            row = 0
+            for j in range(n):
+                if rows[i] >> j & 1:
+                    row |= 1 << perm[j]
+            out[perm[i]] = row
+        key = tuple(out)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def reference_posets(n):
+    """(names, rows) of every poset on n elements up to isomorphism, in the
+    order of the first up-edge mask that closes to each class."""
+    pairs = list(combinations(range(n), 2))
+    seen = set()
+    out = []
+    for mask in range(1 << len(pairs)):
+        rows = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if mask >> k & 1:
+                rows[i] |= 1 << j
+        for k in range(n):
+            for i in range(n):
+                if rows[i] >> k & 1:
+                    rows[i] |= rows[k]
+        key = reference_canon(rows, n)
+        if key not in seen:
+            seen.add(key)
+            out.append((tuple(str(i) for i in range(n)), key))
+    return out
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_all_posets_match_reference(n):
+    got = [(p.names, p.up) for p in corpus.all_posets(n)]
+    assert got == reference_posets(n)
+    assert len(got) == [1, 1, 2, 5, 16, 63][n]
+
+
+def test_upsets_of_matches_power_set_filter():
+    checked = 0
+    for p in corpus.corpus_posets(4):
+        for support in range(1 << p.n):
+            sub, ids = p.induced(support)
+            expected = []
+            for m in range(1 << sub.n):
+                if sub.is_up_closed(m):
+                    expected.append(sum(1 << ids[k] for k in range(sub.n) if m >> k & 1))
+            assert p.upsets_of(support) == tuple(sorted(expected))
+            checked += 1
+    assert checked == 1 * 2 + 2 * 4 + 5 * 8 + 16 * 16  # posets times supports, n = 1..4

@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from conftest import brute_final_segments, brute_initial_segments
 from posetalg import corpus
-from posetalg.errors import CycleError, DuplicateName, NotAnOrder, SizeLimit, UnknownElement
+from posetalg.errors import (
+    CycleError,
+    DuplicateName,
+    NotAnOrder,
+    ParseError,
+    SizeLimit,
+    UnknownElement,
+)
 from posetalg.poset import (
     Poset,
     antichain,
@@ -285,3 +292,33 @@ def test_induced_subposet(v3):
     assert sub.names == ("a", "c")
     assert sub.leq("a", "c")
     assert [v3.names[i] for i in ids] == ["a", "c"]
+
+
+def test_numeric_names_become_strings():
+    p = build_poset([1, 0], [(1, 0)])
+    assert p.names == ("1", "0")
+    assert p.leq("1", "0") and not p.leq("0", "1")
+    # an int given to Poset.id is an id, not a name
+    assert p.id("1") == 0 and p.id(1) == 1
+    assert from_json_dict({"elements": [1, 0], "le": [[1, 0]]}).leq("1", "0")
+
+
+def test_names_colliding_as_strings_rejected():
+    with pytest.raises(DuplicateName):
+        build_poset([1, "1"], [])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        ["a", "b"],
+        {"elements": ["a", "b"]},
+        {"elements": "ab", "le": []},
+        {"elements": ["a", "b"], "le": [["a"]]},
+        {"elements": [True], "le": []},
+        {"elements": ["a"], "le": {"a": "a"}},
+    ],
+)
+def test_from_json_dict_malformed_is_parse_error(data):
+    with pytest.raises(ParseError):
+        from_json_dict(data)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_max_antichain_size, brute_longest_chain
 from posetalg import lattice, wqo
-from posetalg.errors import BadArity, UnknownElement
+from posetalg.errors import BadArity, ParseError, UnknownElement
 from posetalg.poset import antichain, build_poset, chain, rado_prefix, random_poset
 
 
@@ -121,6 +121,26 @@ def test_labeling_from_json_explicit():
     }
     arr = wqo.labeling_from_json(data)
     assert arr.label[(0, 1)] == arr.poset.id("(0,1)")
+
+
+def test_labeling_from_json_with_poset():
+    data = {
+        "k": 1,
+        "N": 2,
+        "poset": {"elements": ["a", "b"], "le": [["a", "b"]]},
+        "labels": {"0": "a", "1": "b"},
+    }
+    arr = wqo.labeling_from_json(data)
+    assert arr.poset.names == ("a", "b") and arr.poset.leq("a", "b")
+    assert arr.label == {(0,): 0, (1,): 1}
+    assert wqo.classify_array(arr)["verdict"] == "perfect"
+
+
+@pytest.mark.parametrize("poset", [["a", "b"], {"elements": ["a", "b"]}, "ab"])
+def test_labeling_from_json_malformed_poset(poset):
+    data = {"k": 1, "N": 2, "poset": poset, "labels": {"0": "a", "1": "b"}}
+    with pytest.raises(ParseError):
+        wqo.labeling_from_json(data)
 
 
 def test_probe_examples():
