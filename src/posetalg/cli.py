@@ -28,7 +28,7 @@ def _load_poset(path):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         elements, pairs = poset_mod.parse_json_dict(data)
-    except (OSError, json.JSONDecodeError, ParseError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError, ParseError) as exc:
         click.echo(json.dumps({"error": "parse", "detail": str(exc)}))
         sys.exit(2)
     return data, elements, pairs
@@ -131,6 +131,9 @@ def _poset_for_alg(path):
 def _eval_checked(p, node):
     try:
         return exprs.to_elem(p, node)
+    except ParseError as exc:
+        click.echo(json.dumps({"error": "parse", "detail": str(exc)}))
+        sys.exit(2)
     except PosetAlgError as exc:
         click.echo(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         sys.exit(2)

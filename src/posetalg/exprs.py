@@ -94,29 +94,42 @@ class _Parser:
 
 
 def parse(text):
+    """Expression tree of ``text``; ParseError on bad or too deeply nested input."""
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
     parser = _Parser(tokens)
-    node = parser.parse_or()
+    try:
+        node = parser.parse_or()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if parser.peek() is not None:
         raise ParseError(f"trailing input from token {parser.peek()!r}")
     return node
 
 
 def to_elem(poset, node):
-    """Evaluate an expression tree in the symbolic algebra."""
+    """Evaluate an expression tree in the symbolic algebra.
+
+    A tree too deep to evaluate raises ParseError."""
+    try:
+        return _to_elem(poset, node)
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
+
+
+def _to_elem(poset, node):
     kind = node[0]
     if kind == "var":
         return algebra.gen(poset, node[1])
     if kind == "const":
         return algebra.one(poset) if node[1] else algebra.zero(poset)
     if kind == "not":
-        return algebra.complement(to_elem(poset, node[1]))
+        return algebra.complement(_to_elem(poset, node[1]))
     if kind == "and":
-        return algebra.meet(to_elem(poset, node[1]), to_elem(poset, node[2]))
+        return algebra.meet(_to_elem(poset, node[1]), _to_elem(poset, node[2]))
     if kind == "or":
-        return algebra.join(to_elem(poset, node[1]), to_elem(poset, node[2]))
+        return algebra.join(_to_elem(poset, node[1]), _to_elem(poset, node[2]))
     raise ParseError(f"bad node {node!r}")
 
 

@@ -9,7 +9,6 @@ symbolic decision can be cross-checked set-theoretically.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 from . import algebra
 from .errors import ClosureOverflow, NotUpClosed, PosetMismatch
@@ -163,40 +162,54 @@ def check_binary_subbase(poset, samples=None, seed=0, exhaustive_limit=5):
     sampled (seeded) otherwise; ``samples`` forces sampling with that count.
     """
     space = StoneSpace(poset)
-    family = []
-    for i in range(poset.n):
-        family.append((poset.names[i], "+", v_set(space, i)))
-    for i in range(poset.n):
-        family.append((poset.names[i], "-", space.full ^ v_set(space, i)))
-    m = len(family)
-    full = space.full
-
-    def violates(sub_ids):
-        inter = full
-        for k in sub_ids:
-            inter &= family[k][2]
-        if inter:
-            return False
-        for a, b in combinations(sub_ids, 2):
-            if family[a][2] & family[b][2] == 0:
-                return False
-        return True
-
-    if samples is None and poset.n <= exhaustive_limit:
-        candidates = range(1, 1 << m)
-        for sub in candidates:
-            ids = list(iter_bits(sub))
-            if violates(ids):
-                return [(family[k][0], family[k][1]) for k in ids]
-        return None
-
+    family = [(name, "+", v_set(space, i)) for i, name in enumerate(poset.names)]
+    family += [(name, "-", space.full ^ mask) for name, _, mask in family]
+    exhaustive = samples is None and poset.n <= exhaustive_limit
     count = samples if samples is not None else 10000
+    sub = _scan_subfamilies([mask for _, _, mask in family], space.full, count, seed, exhaustive)
+    if sub is None:
+        return None
+    return [(family[k][0], family[k][1]) for k in iter_bits(sub)]
+
+
+def _scan_subfamilies(sets, full, samples, seed, exhaustive):
+    """Bitmask of a subfamily of ``sets`` that violates the binary-subbase
+    property, or None.
+
+    Exhaustive mode returns the lowest violator.  Sampled mode draws
+    ``samples`` seeded subfamilies and returns the first violating draw.  When
+    the draws number at least the 2**m - 1 non-empty subfamilies, or the scan
+    is exhaustive, every subfamily is answered once from a table indexed by
+    subfamily: its entry extends the entry of the same subfamily without its
+    top member, and a sampled run that cannot hit a violator draws nothing.
+    """
+    m = len(sets)
+    # partners[k]: the other members whose set is disjoint from member k's
+    partners = [
+        sum(1 << j for j in range(m) if j != k and not sets[j] & s)
+        for k, s in enumerate(sets)
+    ]
+    if exhaustive or samples >= (1 << m) - 1:
+        inter, paired = [full], [False]
+        for s, p in zip(sets, partners):
+            inter += [x & s for x in inter]
+            paired += [q or p & rest != 0 for rest, q in enumerate(paired)]
+        violators = {sub for sub in range(1, 1 << m) if not inter[sub] and not paired[sub]}
+        if exhaustive or not violators:
+            return min(violators, default=None)
+        is_violator = violators.__contains__
+    else:
+        def is_violator(sub):
+            inter = full
+            for k in iter_bits(sub):
+                inter &= sets[k]
+            return not inter and not any(partners[k] & sub for k in iter_bits(sub))
+
     rng = random.Random(seed)
-    for _ in range(count):
+    for _ in range(samples):
         sub = rng.randrange(1, 1 << m)
-        ids = list(iter_bits(sub))
-        if violates(ids):
-            return [(family[k][0], family[k][1]) for k in ids]
+        if is_violator(sub):
+            return sub
     return None
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import lattice
-from .errors import BadArity, UnknownElement
-from .poset import from_json_dict, rado_prefix
+from .errors import BadArity, ParseError, UnknownElement
+from .poset import _is_name, from_json_dict, rado_prefix
 
 
 class Front:
@@ -129,16 +129,27 @@ def labeling_from_json(data):
     {"generator": "rado-identity", "N": …}.
 
     The labels name elements of the Rado prefix on N, or of an optional
-    ``"poset"`` object in the shape of ``poset.from_json_dict`` (anything else
-    there raises ParseError)."""
+    ``"poset"`` object in the shape of ``poset.from_json_dict``.  A label is
+    read as a name, as ``build_poset`` reads the elements, so the label 1 is
+    the element '1'.  A malformed poset, a ``"labels"`` value that is not an
+    object, a key that is not comma-separated integers or a label that is not
+    a string or integer raises ParseError."""
     if data.get("generator") == "rado-identity":
         return rado_identity_labeling(int(data["N"]))
     fr = Front(int(data["k"]), int(data["N"]))
     poset = from_json_dict(data["poset"]) if "poset" in data else rado_prefix(int(data["N"]))
+    labels = data.get("labels")
+    if not isinstance(labels, dict):
+        raise ParseError("'labels' must be an object of block -> element name")
     label = {}
-    for key, value in data["labels"].items():
-        block = tuple(int(x) for x in key.split(","))
-        label[block] = value
+    for key, value in labels.items():
+        try:
+            block = tuple(int(x) for x in key.split(","))
+        except ValueError:
+            raise ParseError(f"label key {key!r} is not comma-separated integers") from None
+        if not _is_name(value):
+            raise ParseError(f"label {value!r} is not a string or integer name")
+        label[block] = str(value)
     return ArrayLabeling(fr, poset, label)
 
 

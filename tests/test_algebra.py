@@ -404,5 +404,24 @@ def test_parse_errors():
             exprs.parse(bad)
 
 
+@pytest.mark.parametrize(
+    "text", ["(" * 3000 + "x(a)" + ")" * 3000, "!" * 3000 + "x(a)"], ids=["parens", "nots"]
+)
+def test_parse_deep_nesting_is_parse_error(text):
+    with pytest.raises(ParseError):
+        exprs.parse(text)
+
+
+def test_to_elem_deep_tree_is_parse_error(v3):
+    node = ("var", "a")
+    for _ in range(3000):
+        node = ("not", node)
+    with pytest.raises(ParseError):
+        exprs.to_elem(v3, node)
+    # a left-deep chain parses without recursion, then is too deep to evaluate
+    with pytest.raises(ParseError):
+        exprs.to_elem(v3, exprs.parse(" & ".join(["x(a)"] * 3000)))
+
+
 def test_variables():
     assert exprs.variables(exprs.parse("x(a) & !x(b) | 0")) == {"a", "b"}

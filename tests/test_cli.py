@@ -72,6 +72,20 @@ def test_poset_check_malformed_shape_is_parse_error(runner, tmp_path, data):
     assert json.loads(result.output)["error"] == "parse"
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe{\x00}\x00", b'{"elements": ["\xe9"], "le": []}', b"[" * 100000],
+    ids=["utf16-bom", "latin1-name", "deep-json"],
+)
+def test_poset_check_undecodable_file_is_parse_error(runner, tmp_path, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    for args in (["poset", "check", str(bad)], ["alg", "eq", "-p", str(bad), "1", "1"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert json.loads(result.output)["error"] == "parse"
+
+
 def test_poset_show(runner, v3_file):
     result = runner.invoke(main, ["poset", "show", v3_file])
     assert result.exit_code == 0
@@ -137,6 +151,18 @@ def test_alg_parse_error_exit_2(runner, v3_file):
     result = runner.invoke(main, ["alg", "eq", "-p", v3_file, "x(a) &", "x(a)"])
     assert result.exit_code == 2
     assert json.loads(result.output)["error"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 3000 + "x(a)" + ")" * 3000, "!" * 3000 + "x(a)", " & ".join(["x(a)"] * 3000)],
+    ids=["parens", "nots", "meets"],
+)
+def test_alg_deep_nesting_exit_2(runner, v3_file, text):
+    for args in ([text, "x(a)"], ["--oracle", "x(a)", text]):
+        result = runner.invoke(main, ["alg", "eq", "-p", v3_file, *args])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["error"] == "parse"
 
 
 def test_alg_numeric_names_resolve(runner, tmp_path):

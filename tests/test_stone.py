@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,6 +178,68 @@ def test_binary_subbase_brute_force_small():
                 assert any(
                     x & y == 0 for i, x in enumerate(members) for y in members[i + 1:]
                 )
+
+
+def _reference_scan(sets, full, samples, seed, exhaustive):
+    """The subfamily scan as it was before the table: every candidate checked
+    from scratch, pairs by ``combinations``."""
+    m = len(sets)
+
+    def violates(ids):
+        inter = full
+        for k in ids:
+            inter &= sets[k]
+        if inter:
+            return False
+        return all(sets[a] & sets[b] for a, b in combinations(ids, 2))
+
+    if exhaustive:
+        candidates = range(1, 1 << m)
+    else:
+        rng = random.Random(seed)
+        candidates = (rng.randrange(1, 1 << m) for _ in range(samples))
+    for sub in candidates:
+        if violates(list(iter_bits(sub))):
+            return sub
+    return None
+
+
+def test_scan_subfamilies_matches_reference_scan():
+    rng = random.Random(7)
+    # every pair of {0,1}, {1,2}, {0,2} meets, the triple does not
+    families = [([0b011, 0b110, 0b101], 0b111)]
+    for _ in range(150):
+        universe = rng.randint(1, 6)
+        full = (1 << universe) - 1
+        m = rng.randint(1, 7)
+        families.append(([rng.randint(0, full) for _ in range(m)], full))
+    violating = 0
+    for sets, full in families:
+        size = (1 << len(sets)) - 1
+        lowest = _reference_scan(sets, full, 0, 0, True)
+        assert stone._scan_subfamilies(sets, full, 0, 0, True) == lowest
+        violating += lowest is not None
+        # the table path from 2**m - 1 draws up, the per-draw path below it
+        for samples in (1, size - 1, size, 3 * size):
+            for seed in range(4):
+                expected = _reference_scan(sets, full, samples, seed, False)
+                got = stone._scan_subfamilies(sets, full, samples, seed, False)
+                assert got == expected, (sets, full, samples, seed)
+    assert stone._scan_subfamilies([0b011, 0b110, 0b101], 0b111, 0, 0, True) == 0b111
+    assert 20 < violating < len(families) - 20
+
+
+def test_binary_subbase_draws_nothing_when_no_subfamily_violates(v3, monkeypatch):
+    class NoDraws(random.Random):
+        def randrange(self, *args):
+            raise AssertionError("drew a subfamily")
+
+    monkeypatch.setattr(stone.random, "Random", NoDraws)
+    # v3 has 2 * 3 members: 63 non-empty subfamilies, none violating
+    assert stone.check_binary_subbase(v3, samples=63) is None
+    assert stone.check_binary_subbase(v3, samples=10000) is None
+    with pytest.raises(AssertionError, match="drew"):
+        stone.check_binary_subbase(v3, samples=62)
 
 
 # -- interval algebra ---------------------------------------------------------------

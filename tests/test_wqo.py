@@ -143,6 +143,29 @@ def test_labeling_from_json_malformed_poset(poset):
         wqo.labeling_from_json(data)
 
 
+def test_labeling_from_json_numeric_labels_are_names():
+    data = {
+        "k": 1,
+        "N": 2,
+        "poset": {"elements": [1, 0], "le": []},
+        "labels": {"0": 1, "1": "0"},
+    }
+    arr = wqo.labeling_from_json(data)
+    assert arr.poset.names == ("1", "0")
+    assert arr.label == {(0,): arr.poset.id("1"), (1,): arr.poset.id("0")} == {(0,): 0, (1,): 1}
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [["a", "b"], "a,b", None, {"0": "a", "x": "b"}, {"0": "a", "": "b"}, {"0": "a", "1": ["b"]},
+     {"0": "a", "1": True}],
+)
+def test_labeling_from_json_malformed_labels(labels):
+    data = {"k": 1, "N": 2, "poset": {"elements": ["a", "b"], "le": []}, "labels": labels}
+    with pytest.raises(ParseError):
+        wqo.labeling_from_json(data)
+
+
 def test_probe_examples():
     assert wqo.narrowness_probe(antichain(4)) == 4
     assert wqo.wellfoundedness_probe(antichain(4)) == 1
