@@ -2,11 +2,15 @@
 
 Everything here rides on the universal extension property: an
 order-preserving assignment of the generators into any Boolean algebra
-extends uniquely to a homomorphism, computed by evaluating disjunctive
-normal forms.  The module builds the extension, subposet embeddings,
-relativizations to a generator, the collapse onto a linear augmentation,
-the two-variable product map, lexicographic layering checks, and the
-block decomposition of a directed poset along a cofinal chain.
+extends uniquely to a homomorphism.  An element on support S is a truth
+table over the traces of S.  The traces t partition the final segments, so
+the elementary products x_t * -x_{S-t} are disjoint, nonzero and join to 1;
+the extension sends the element to the join of the images of the products
+at its true traces, read from one image table per support.  The module
+builds the extension, subposet embeddings, relativizations to a generator,
+the collapse onto a linear augmentation, the two-variable product map,
+lexicographic layering checks, and the block decomposition of a directed
+poset along a cofinal chain.
 """
 
 from __future__ import annotations
@@ -89,17 +93,36 @@ class MaskAlgebraTarget:
         return a
 
 
+def _image_table(target, gen_image, support, traces):
+    """Image of x_t * -x_{S-t} for each trace t of ``support`` S, in the order
+    of ``traces`` (the sorted up-sets of S)."""
+    members = list(iter_bits(support))
+    images = [gen_image[p] for p in members]
+    negated = [target.complement(img) for img in images]
+    table = []
+    for t in traces:
+        term = target.one()
+        for p, img, neg in zip(members, images, negated):
+            term = target.meet(term, img if t >> p & 1 else neg)
+        table.append(term)
+    return table
+
+
 class Hom:
     """Homomorphism from the algebra over ``source`` into ``target``.
 
-    ``gen_image[i]`` is the image of generator i; ``apply`` evaluates any
-    algebra element through its disjunctive normal form.
+    ``gen_image[i]`` is the image of generator i.  ``apply`` joins, over the
+    true traces t of an element on support S, the images of the elementary
+    products x_t * -x_{S-t}, read from one table per support.
+    ``apply_via_atoms`` is a second route that never reads those tables: it
+    evaluates the element at every final segment instead.
     """
 
     def __init__(self, source, target, gen_image):
         self.source = source
         self.target = target
         self.gen_image = list(gen_image)
+        self._tables = {}
         self._space = None
         self._atom_image = None
 
@@ -107,14 +130,13 @@ class Hom:
         if e.poset is not self.source:
             raise PosetMismatch("element not over the source poset")
         tgt = self.target
+        table = self._tables.get(e.support)
+        if table is None:
+            table = _image_table(tgt, self.gen_image, e.support, e.traces)
+            self._tables[e.support] = table
         out = tgt.zero()
-        for pr in algebra.to_dnf(e):
-            term = tgt.one()
-            for p in iter_bits(pr.pos):
-                term = tgt.meet(term, self.gen_image[p])
-            for q in iter_bits(pr.neg):
-                term = tgt.meet(term, tgt.complement(self.gen_image[q]))
-            out = tgt.join(out, term)
+        for k in iter_bits(e.truth):
+            out = tgt.join(out, table[k])
         return out
 
     def space(self):
@@ -263,7 +285,7 @@ class EMap:
         self.prod, self.index = product(left, right, max_elements)
         self.target = PosetAlgebraTarget(self.prod)
         self._column_homs = {}
-        self._g_images = {}
+        self._row_homs = {}
 
     def pair_gen(self, p, q):
         return algebra.gen(self.prod, self.index[(self.left.id(p), self.right.id(q))])
@@ -282,11 +304,12 @@ class EMap:
     def row_hom(self, a):
         """Extension of q -> column_hom(q)(a); needs a to make it monotone."""
         key = algebra.canonical_key(a)
-        images = self._g_images.get(key)
-        if images is None:
+        hom = self._row_homs.get(key)
+        if hom is None:
             images = [self.column_hom(q).apply(a) for q in range(self.right.n)]
-            self._g_images[key] = images
-        return extend_hom(self.right, self.target, images)
+            hom = extend_hom(self.right, self.target, images)
+            self._row_homs[key] = hom
+        return hom
 
     def apply(self, a, b):
         if isinstance(a, lattice.LatticeElem):

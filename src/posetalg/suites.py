@@ -84,34 +84,37 @@ def _product_denotation(space, sigma):
 # -- 1. elementary-product zero test vs oracle ---------------------------------
 
 
+def _fact24_fault(space, pairs):
+    """Check the syntactic zero test on each (sigma, tau) pair against the
+    clopen of x_sigma * -x_tau.  Returns (witness or None, pairs checked)."""
+    poset = space.poset
+    vsets = [stone.v_set(space, p) for p in range(poset.n)]
+    cases = 0
+    for s, t in pairs:
+        cases += 1
+        oracle = space.full
+        for p in iter_bits(s):
+            oracle &= vsets[p]
+        for q in iter_bits(t):
+            oracle &= space.full ^ vsets[q]
+        syn = algebra.is_zero_syntactic(poset, s, t)
+        if syn != (oracle == 0):
+            return {
+                "sigma": poset.names_of(s),
+                "tau": poset.names_of(t),
+                "syntactic": syn,
+                "oracle_empty": oracle == 0,
+            }, cases
+    return None, cases
+
+
 def suite_fact24(config):
     rec = _Recorder("fact24")
     for label, poset in _corpus_for(config):
         t0 = rec.timed()
         space = stone.StoneSpace(poset)
-        vsets = [stone.v_set(space, p) for p in range(poset.n)]
         subsets = _small_subset_masks(poset.n, 3)
-        witness = None
-        cases = 0
-        for s in subsets:
-            for t in subsets:
-                cases += 1
-                oracle = space.full
-                for p in iter_bits(s):
-                    oracle &= vsets[p]
-                for q in iter_bits(t):
-                    oracle &= space.full ^ vsets[q]
-                syn = algebra.is_zero_syntactic(poset, s, t)
-                if syn != (oracle == 0):
-                    witness = {
-                        "sigma": poset.names_of(s),
-                        "tau": poset.names_of(t),
-                        "syntactic": syn,
-                        "oracle_empty": oracle == 0,
-                    }
-                    break
-            if witness:
-                break
+        witness, cases = _fact24_fault(space, ((s, t) for s in subsets for t in subsets))
         rec.add(label, {"pairs": cases}, witness is None, witness, cases,
                 (rec.timed() - t0) * 1000)
 
@@ -123,20 +126,9 @@ def suite_fact24(config):
         t0 = rec.timed()
         poset = random_poset(8, rng.choice((0.2, 0.35, 0.5)), rng.randrange(1 << 30))
         space = stone.StoneSpace(poset)
-        vsets = [stone.v_set(space, p) for p in range(poset.n)]
-        witness = None
         todo = min(remaining, 20)
-        for _ in range(todo):
-            s = rng.randrange(1 << poset.n)
-            t = rng.randrange(1 << poset.n)
-            oracle = space.full
-            for p in iter_bits(s):
-                oracle &= vsets[p]
-            for q in iter_bits(t):
-                oracle &= space.full ^ vsets[q]
-            if algebra.is_zero_syntactic(poset, s, t) != (oracle == 0):
-                witness = {"sigma": poset.names_of(s), "tau": poset.names_of(t)}
-                break
+        draws = ((rng.randrange(1 << poset.n), rng.randrange(1 << poset.n)) for _ in range(todo))
+        witness, _ = _fact24_fault(space, draws)
         rec.add(f"n8r{block}", {"pairs": todo}, witness is None, witness, todo,
                 (rec.timed() - t0) * 1000)
         remaining -= todo

@@ -124,6 +124,13 @@ def classify_array(arr):
     }
 
 
+def _int_field(data, key):
+    value = data.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def labeling_from_json(data):
     """Ingest {"k":…, "N":…, "labels": {"0,1": "(0,1)", …}} or the shorthand
     {"generator": "rado-identity", "N": …}.
@@ -133,11 +140,15 @@ def labeling_from_json(data):
     read as a name, as ``build_poset`` reads the elements, so the label 1 is
     the element '1'.  A malformed poset, a ``"labels"`` value that is not an
     object, a key that is not comma-separated integers or a label that is not
-    a string or integer raises ParseError."""
+    a string or integer raises ParseError, as do a document that is not an
+    object and a missing or non-integer ``"k"`` or ``"N"``."""
+    if not isinstance(data, dict):
+        raise ParseError("a labeling must be a JSON object")
     if data.get("generator") == "rado-identity":
-        return rado_identity_labeling(int(data["N"]))
-    fr = Front(int(data["k"]), int(data["N"]))
-    poset = from_json_dict(data["poset"]) if "poset" in data else rado_prefix(int(data["N"]))
+        return rado_identity_labeling(_int_field(data, "N"))
+    horizon = _int_field(data, "N")
+    fr = Front(_int_field(data, "k"), horizon)
+    poset = from_json_dict(data["poset"]) if "poset" in data else rado_prefix(horizon)
     labels = data.get("labels")
     if not isinstance(labels, dict):
         raise ParseError("'labels' must be an object of block -> element name")

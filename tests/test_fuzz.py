@@ -1,5 +1,7 @@
 """Fuzz the CLI's input paths in-process: every input gives exit 0, 1 or 2 with
-JSON on stdout, and no exception other than SystemExit escapes."""
+JSON on stdout, and no exception other than SystemExit escapes.  Covers
+``pal poset check`` and the four ``pal alg`` commands (eq, leq, normalize,
+dnf), which share the poset loader and the checked evaluator."""
 
 import json
 
@@ -49,6 +51,7 @@ poset_files = st.one_of(
     poset_docs.map(lambda doc: json.dumps(doc).encode()),
     st.binary(max_size=40),
 )
+alg_poset_files = valid_poset_docs.map(lambda doc: json.dumps(doc).encode()) | poset_files
 terms = st.recursive(
     st.sampled_from(["x(a)", "x(b)", "x(c)", "x(0)", "x(1)", "0", "1"]),
     lambda inner: inner.map("!{}".format)
@@ -88,7 +91,7 @@ def test_fuzz_poset_check(poset_path, raw):
 
 @FUZZ
 @given(
-    raw=valid_poset_docs.map(lambda doc: json.dumps(doc).encode()) | poset_files,
+    raw=alg_poset_files,
     left=terms | expr_text,
     right=terms | expr_text,
     oracle=st.booleans(),
@@ -97,3 +100,27 @@ def test_fuzz_alg_eq(poset_path, raw, left, right, oracle):
     poset_path.write_bytes(raw)
     _invoke(["alg", "eq", "-p", str(poset_path), *(["--oracle"] if oracle else []),
              "--", left, right])
+
+
+@FUZZ
+@given(
+    raw=alg_poset_files,
+    left=terms | expr_text,
+    right=terms | expr_text,
+    oracle=st.booleans(),
+)
+def test_fuzz_alg_leq(poset_path, raw, left, right, oracle):
+    poset_path.write_bytes(raw)
+    _invoke(["alg", "leq", "-p", str(poset_path), *(["--oracle"] if oracle else []),
+             "--", left, right])
+
+
+@pytest.mark.parametrize("command", ["normalize", "dnf"])
+@FUZZ
+@given(
+    raw=alg_poset_files,
+    expr=terms | expr_text,
+)
+def test_fuzz_alg_one_expression(poset_path, command, raw, expr):
+    poset_path.write_bytes(raw)
+    _invoke(["alg", command, "-p", str(poset_path), "--", expr])

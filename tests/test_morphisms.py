@@ -1,6 +1,9 @@
+import operator
+import random
+
 import pytest
 
-from posetalg import algebra, corpus, lattice, morphisms, stone
+from posetalg import algebra, corpus, lattice, morphisms, stone, suites
 from posetalg.errors import (
     NotAnEmbedding,
     NotCofinal,
@@ -86,6 +89,56 @@ def test_atom_images_partition_target(v3):
         for b in atoms[i + 1:]:
             assert algebra.is_zero(algebra.meet(a, b))
     assert algebra.is_one(union)
+
+
+def test_apply_on_partial_supports():
+    """Elements on random sub-supports take the same image on their own
+    support, on their reduced support and through the atoms."""
+    rng = random.Random(7)
+    tgt_poset = corpus.v3()
+    tgt_space = stone.StoneSpace(tgt_poset)
+    for source in corpus.corpus_posets(4):
+        masks = suites._random_monotone_map(rng, source, tgt_space)
+        homs = [
+            (morphisms.extend_hom(source, morphisms.MaskAlgebraTarget(len(tgt_space.points)),
+                                  masks), operator.eq),
+            (morphisms.extend_hom(source, morphisms.PosetAlgebraTarget(tgt_poset),
+                                  [stone.elem_from_clopen(tgt_space, m) for m in masks]),
+             algebra.equals),
+        ]
+        for _ in range(8):
+            support = rng.randrange(1 << source.n)
+            traces = source.upsets_of(support)
+            e = algebra.AlgebraElem(source, support, rng.randrange(1 << len(traces)), traces)
+            reduced = algebra.support_reduce(e)
+            for hom, same in homs:
+                image = hom.apply(e)
+                assert same(image, hom.apply(reduced)), (source, support, e.truth)
+                assert same(image, hom.apply_via_atoms(e)), (source, support, e.truth)
+
+
+class _OneForComplement:
+    """A target whose complement answers one(), to corrupt the image tables."""
+
+    def __init__(self, target):
+        self._target = target
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+    def complement(self, a):
+        return self._target.one()
+
+
+@pytest.mark.parametrize("suite", ["hom-laws", "relativize", "emap"])
+def test_corrupt_image_table_fails_suite_records(monkeypatch, suite):
+    """The suites' second routes do not read the image tables, so a broken
+    table shows up as failing records."""
+    build = morphisms._image_table
+    monkeypatch.setattr(morphisms, "_image_table",
+                        lambda target, *args: build(_OneForComplement(target), *args))
+    report = suites.run_suite(suite, suites.SuiteConfig())
+    assert report["failures"] > 0
 
 
 # -- subposet embeddings ------------------------------------------------------------------

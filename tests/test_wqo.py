@@ -166,6 +166,29 @@ def test_labeling_from_json_malformed_labels(labels):
         wqo.labeling_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"N": 2, "labels": {}},
+        {"k": 1, "labels": {}},
+        {"k": "x", "N": 2, "labels": {}},
+        {"k": 1, "N": "2", "labels": {}},
+        {"k": 1.0, "N": 2, "labels": {}},
+        {"k": True, "N": 2, "labels": {}},
+        {"k": 1, "N": None, "labels": {}},
+        {"generator": "rado-identity"},
+        {"generator": "rado-identity", "N": "x"},
+        {"generator": "rado-identity", "N": 4.5},
+        ["k", 1, "N", 2],
+        "rado-identity",
+        None,
+    ],
+)
+def test_labeling_from_json_malformed_document(data):
+    with pytest.raises(ParseError):
+        wqo.labeling_from_json(data)
+
+
 def test_probe_examples():
     assert wqo.narrowness_probe(antichain(4)) == 4
     assert wqo.wellfoundedness_probe(antichain(4)) == 1
