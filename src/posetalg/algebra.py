@@ -132,13 +132,6 @@ def complement(e):
     return AlgebraElem(e.poset, e.support, e.truth ^ full, e.traces)
 
 
-def meet_all(poset, elems):
-    out = one(poset)
-    for e in elems:
-        out = meet(out, e)
-    return out
-
-
 def join_all(poset, elems):
     out = zero(poset)
     for e in elems:
@@ -251,12 +244,6 @@ def to_dnf(e):
         if r.truth >> k & 1:
             out.append(ElementaryProduct(pos=t, neg=r.support & ~t))
     return out
-
-
-def from_dnf(poset, products):
-    return join_all(
-        poset, [elementary_product(poset, pr.pos, pr.neg) for pr in products]
-    )
 
 
 def dnf_str(products, poset):

@@ -7,6 +7,7 @@ JSON-first output with a --human pretty mode.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import json
+import operator
 import sys
 
 import click
@@ -18,20 +19,51 @@ from .errors import CycleError, ParseError, PosetAlgError
 def _emit(data, human, out=None):
     text = json.dumps(data, indent=2 if human else None, sort_keys=human)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(out, text + "\n")
     click.echo(text)
 
 
-def _load_poset(path):
+def _fail(payload, code, human=False):
+    _emit(payload, human)
+    sys.exit(code)
+
+
+def _error(exc):
+    name = "parse" if isinstance(exc, ParseError) else type(exc).__name__
+    return {"error": name, "detail": str(exc)}
+
+
+def _write(path, text):
+    """Write an output file; one that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail(_error(exc), 2)
+
+
+def _load_poset(path, human=False, cycle_witness=False):
+    """(built Poset, raw JSON object) of a poset file, or exit: 2 with a
+    parse error for a file that is not a readable poset object, 1 with the
+    error type for one that is no order (``cycle_witness`` reports a cycle by
+    its pair of names instead)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         elements, pairs = poset_mod.parse_json_dict(data)
     except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError, ParseError) as exc:
-        click.echo(json.dumps({"error": "parse", "detail": str(exc)}))
-        sys.exit(2)
-    return data, elements, pairs
+        _fail({"error": "parse", "detail": str(exc)}, 2)
+    try:
+        return poset_mod.build_poset(elements, pairs), data
+    except PosetAlgError as exc:
+        if cycle_witness and isinstance(exc, CycleError):
+            _fail({"error": "cycle", "witness": list(exc.witness)}, 1, human)
+        _fail(_error(exc), 1, human)
+
+
+_poset_file = click.argument("file", type=click.Path(exists=True, dir_okay=False))
+_json_flag = click.option("--json/--human", "as_json", default=True,
+                          help="machine or pretty output (JSON is the default)")
 
 
 @click.group()
@@ -48,34 +80,20 @@ def poset_group():
 
 
 @poset_group.command("check")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--json/--human", "as_json", default=True,
-              help="machine or pretty output (JSON is the default)")
+@_poset_file
+@_json_flag
 def poset_check(file, as_json):
     """Validate the order axioms of a poset file."""
-    _data, elements, pairs = _load_poset(file)
-    try:
-        poset_mod.build_poset(elements, pairs)
-    except CycleError as exc:
-        _emit({"error": "cycle", "witness": list(exc.witness)}, not as_json)
-        sys.exit(1)
-    except PosetAlgError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, not as_json)
-        sys.exit(1)
-    _emit({"elements": len(elements), "relationPairs": len(pairs)}, not as_json)
+    _p, data = _load_poset(file, not as_json, cycle_witness=True)
+    _emit({"elements": len(data["elements"]), "relationPairs": len(data["le"])}, not as_json)
 
 
 @poset_group.command("show")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--json/--human", "as_json", default=True)
+@_poset_file
+@_json_flag
 def poset_show(file, as_json):
     """Summarize a poset: covers, extremal elements, segment count."""
-    data, elements, pairs = _load_poset(file)
-    try:
-        p = poset_mod.build_poset(elements, pairs)
-    except PosetAlgError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, not as_json)
-        sys.exit(1)
+    p, data = _load_poset(file, not as_json)
     _emit(
         {
             "name": data.get("name", "poset"),
@@ -90,20 +108,14 @@ def poset_show(file, as_json):
 
 
 @poset_group.command("export-dot")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@_poset_file
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def poset_export_dot(file, out):
     """Write the transitive reduction as a DOT digraph."""
-    data, elements, pairs = _load_poset(file)
-    try:
-        p = poset_mod.build_poset(elements, pairs)
-    except PosetAlgError as exc:
-        click.echo(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
-        sys.exit(1)
+    p, data = _load_poset(file)
     dot = p.to_dot(data.get("name", "poset"))
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        _write(out, dot)
     else:
         click.echo(dot, nl=False)
 
@@ -115,28 +127,18 @@ def _parse_exprs(texts):
     try:
         return [exprs.parse(t) for t in texts]
     except ParseError as exc:
-        click.echo(json.dumps({"error": "parse", "detail": str(exc)}))
-        sys.exit(2)
-
-
-def _poset_for_alg(path):
-    _data, elements, pairs = _load_poset(path)
-    try:
-        return poset_mod.build_poset(elements, pairs)
-    except PosetAlgError as exc:
-        click.echo(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
-        sys.exit(1)
+        _fail(_error(exc), 2)
 
 
 def _eval_checked(p, node):
     try:
         return exprs.to_elem(p, node)
-    except ParseError as exc:
-        click.echo(json.dumps({"error": "parse", "detail": str(exc)}))
-        sys.exit(2)
     except PosetAlgError as exc:
-        click.echo(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
-        sys.exit(2)
+        _fail(_error(exc), 2)
+
+
+_poset_option = click.option("--poset", "-p", "poset_file", required=True,
+                             type=click.Path(exists=True, dir_okay=False))
 
 
 @main.group("alg")
@@ -144,59 +146,44 @@ def alg_group():
     """Decide equality and order of term expressions over a poset."""
 
 
-@alg_group.command("eq")
-@click.option("--poset", "-p", "poset_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--oracle", is_flag=True, help="cross-check against segment semantics")
-@click.option("--json/--human", "as_json", default=True)
-@click.argument("left")
-@click.argument("right")
-def alg_eq(poset_file, oracle, as_json, left, right):
-    """Decide whether two expressions denote the same element."""
-    p = _poset_for_alg(poset_file)
-    nodes = _parse_exprs([left, right])
-    e1, e2 = (_eval_checked(p, n) for n in nodes)
-    verdict = algebra.equals(e1, e2)
-    report = {"verdict": verdict}
-    if oracle:
-        space = stone.StoneSpace(p)
-        oracle_verdict = stone.denote_expr(space, nodes[0]) == stone.denote_expr(space, nodes[1])
-        report["oracle"] = oracle_verdict
-        report["agreement"] = verdict == oracle_verdict
-    _emit(report, not as_json)
+def _comparison(name, decide, holds, doc):
+    """An ``alg`` command deciding ``decide(left, right)``; ``--oracle`` adds
+    ``holds`` of the two clopen denotations."""
+
+    @alg_group.command(name, help=doc)
+    @_poset_option
+    @click.option("--oracle", is_flag=True, help="cross-check against segment semantics")
+    @_json_flag
+    @click.argument("left")
+    @click.argument("right")
+    def command(poset_file, oracle, as_json, left, right):
+        p, _data = _load_poset(poset_file)
+        nodes = _parse_exprs([left, right])
+        verdict = decide(*(_eval_checked(p, n) for n in nodes))
+        report = {"verdict": verdict}
+        if oracle:
+            space = stone.StoneSpace(p)
+            oracle_verdict = holds(*(stone.denote_expr(space, n) for n in nodes))
+            report["oracle"] = oracle_verdict
+            report["agreement"] = verdict == oracle_verdict
+        _emit(report, not as_json)
+
+    return command
 
 
-@alg_group.command("leq")
-@click.option("--poset", "-p", "poset_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--oracle", is_flag=True)
-@click.option("--json/--human", "as_json", default=True)
-@click.argument("left")
-@click.argument("right")
-def alg_leq(poset_file, oracle, as_json, left, right):
-    """Decide whether the first expression lies below the second."""
-    p = _poset_for_alg(poset_file)
-    nodes = _parse_exprs([left, right])
-    e1, e2 = (_eval_checked(p, n) for n in nodes)
-    verdict = algebra.leq(e1, e2)
-    report = {"verdict": verdict}
-    if oracle:
-        space = stone.StoneSpace(p)
-        d1, d2 = (stone.denote_expr(space, n) for n in nodes)
-        oracle_verdict = d1 & ~d2 == 0
-        report["oracle"] = oracle_verdict
-        report["agreement"] = verdict == oracle_verdict
-    _emit(report, not as_json)
+alg_eq = _comparison("eq", algebra.equals, operator.eq,
+                     "Decide whether two expressions denote the same element.")
+alg_leq = _comparison("leq", algebra.leq, lambda d1, d2: d1 & ~d2 == 0,
+                      "Decide whether the first expression lies below the second.")
 
 
 @alg_group.command("normalize")
-@click.option("--poset", "-p", "poset_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--json/--human", "as_json", default=True)
+@_poset_option
+@_json_flag
 @click.argument("expr")
 def alg_normalize(poset_file, as_json, expr):
     """Print the canonical minimal-support form of an expression."""
-    p = _poset_for_alg(poset_file)
+    p, _data = _load_poset(poset_file)
     node = _parse_exprs([expr])[0]
     e = algebra.support_reduce(_eval_checked(p, node))
     _emit(
@@ -211,16 +198,14 @@ def alg_normalize(poset_file, as_json, expr):
 
 
 @alg_group.command("dnf")
-@click.option("--poset", "-p", "poset_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--json/--human", "as_json", default=True)
+@_poset_option
+@_json_flag
 @click.argument("expr")
 def alg_dnf(poset_file, as_json, expr):
     """Print a disjunctive normal form of an expression."""
-    p = _poset_for_alg(poset_file)
+    p, _data = _load_poset(poset_file)
     node = _parse_exprs([expr])[0]
-    e = _eval_checked(p, node)
-    products = algebra.to_dnf(e)
+    products = algebra.to_dnf(_eval_checked(p, node))
     _emit(
         {
             "dnf": algebra.dnf_str(products, p),
@@ -240,12 +225,12 @@ def alg_dnf(poset_file, as_json, expr):
 @click.option("--suite", required=True,
               type=click.Choice(sorted(suites.SUITES) + ["all"]))
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--samples", type=int, default=1000, show_default=True)
-@click.option("--max-size", type=int, default=5, show_default=True)
-@click.option("--horizon", type=int, default=12, show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=1000, show_default=True)
+@click.option("--max-size", type=click.IntRange(min=1), default=5, show_default=True)
+@click.option("--horizon", type=click.IntRange(min=2), default=12, show_default=True)
 @click.option("--strict-lattice", type=bool, default=False, show_default=True,
               help="exclude the empty product from lattice enumerations")
-@click.option("--json/--human", "as_json", default=True)
+@_json_flag
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def verify(suite, seed, samples, max_size, horizon, strict_lattice, as_json, out):
     """Run a verification suite over the built-in corpus."""
@@ -256,7 +241,10 @@ def verify(suite, seed, samples, max_size, horizon, strict_lattice, as_json, out
         horizon=horizon,
         strict=strict_lattice,
     )
-    report = suites.run_suite(suite, config)
+    try:
+        report = suites.run_suite(suite, config)
+    except PosetAlgError as exc:
+        _fail(_error(exc), 2)
     _emit(report, not as_json, out)
     sys.exit(1 if report["failures"] else 0)
 

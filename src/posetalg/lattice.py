@@ -130,9 +130,6 @@ class LatticeElem:
             self.poset, [algebra.product_elem(self.poset, s) for s in self.terms]
         )
 
-    def to_json(self):
-        return [sorted(self.poset.names_of(s)) for s in sorted(self.terms)]
-
 
 def l_elem(poset, terms):
     """Lattice element from an iterable of ProductTerms / masks / name sets."""
@@ -198,20 +195,17 @@ def from_algebra_elem(e, pis=None):
 # -- enumeration ---------------------------------------------------------------
 
 
-def antichain_masks(poset, *, max_size=None, max_count=DEFAULT_ENUM_CAP):
-    """All antichains of the poset as masks (including the empty one)."""
-    n = poset.n
-    comp = [0] * n  # comparable-or-equal partners
-    for i in range(n):
-        comp[i] = poset.up[i] | poset.down[i]
+def _antichains(comp, max_size=None, max_count=DEFAULT_ENUM_CAP):
+    """All antichains as masks, the empty one first, of the items 0..n-1
+    where comp[i] holds the items comparable to i, in depth-first order."""
     out = [0]
-    stack = [(0, 0, 0)]  # (next candidate id, chosen mask, chosen count)
+    stack = [(0, 0, 0)]  # (next candidate, chosen mask, chosen count)
     while stack:
         start, chosen, size = stack.pop()
-        for i in range(start, n):
+        if max_size is not None and size >= max_size:
+            continue
+        for i in range(start, len(comp)):
             if comp[i] & chosen:
-                continue
-            if max_size is not None and size + 1 > max_size:
                 continue
             mask = chosen | (1 << i)
             out.append(mask)
@@ -227,34 +221,12 @@ def enumerate_pi(poset, include_unit=True, max_size=None, max_count=DEFAULT_ENUM
     ``include_unit`` admits the empty product (the unit); ``max_size`` caps
     the antichain size, giving the strata of the lattice.
     """
-    masks = antichain_masks(poset, max_size=max_size, max_count=max_count)
+    comp = [up | down for up, down in zip(poset.up, poset.down)]
+    masks = _antichains(comp, max_size, max_count)
     if not include_unit:
-        masks = [m for m in masks if m]
+        masks = masks[1:]
     masks.sort(key=lambda m: (popcount(m), m))
     return masks
-
-
-def enumerate_pi_terms(poset, include_unit=True):
-    return [ProductTerm(poset, m) for m in enumerate_pi(poset, include_unit)]
-
-
-def _antichains_of_index_order(rows, max_count):
-    """Antichains (as index masks) of a finite order given by strict bit rows."""
-    n = len(rows)
-    comp = [r | b for r, b in zip(rows, _transpose(rows))]
-    out = []
-    stack = [(0, 0)]
-    while stack:
-        start, chosen = stack.pop()
-        for i in range(start, n):
-            if comp[i] & chosen:
-                continue
-            mask = chosen | (1 << i)
-            out.append(mask)
-            if len(out) > max_count:
-                raise EnumerationOverflow(f"more than {max_count} join antichains")
-            stack.append((i + 1, mask))
-    return out
 
 
 def enumerate_l(
@@ -271,12 +243,12 @@ def enumerate_l(
     pis = enumerate_pi(
         poset, include_unit=include_unit, max_size=max_term_size, max_count=max_count
     )
-    rows = _strict_less_rows(term_segments(poset, pis))
-    out = []
-    for mask in _antichains_of_index_order(rows, max_count):
-        terms = frozenset(pis[i] for i in iter_bits(mask))
-        out.append(LatticeElem(poset, terms, _canonical=True))
-    return out
+    less = _strict_less_rows(term_segments(poset, pis))
+    comp = [a | b for a, b in zip(less, _transpose(less))]
+    return [
+        LatticeElem(poset, frozenset(pis[i] for i in iter_bits(mask)), _canonical=True)
+        for mask in _antichains(comp, max_count=max_count)[1:]
+    ]
 
 
 def stratum(poset, n, include_unit=True, max_count=DEFAULT_ENUM_CAP):

@@ -190,12 +190,6 @@ def extend_hom(source, target, gen_image):
     return Hom(source, target, images)
 
 
-def identity_hom(poset):
-    return Hom(
-        poset, PosetAlgebraTarget(poset), [algebra.gen(poset, p) for p in range(poset.n)]
-    )
-
-
 # -- subposet embedding ---------------------------------------------------------
 
 

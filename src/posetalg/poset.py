@@ -122,13 +122,6 @@ class Poset:
             out |= self.up[i]
         return out
 
-    def downset(self, elems):
-        m = elems if isinstance(elems, int) else self.mask(elems)
-        out = 0
-        for i in iter_bits(m):
-            out |= self.down[i]
-        return out
-
     def minimals(self, sub=None):
         """Minimal members of a subset (default: of the whole poset)."""
         m = self.full if sub is None else (sub if isinstance(sub, int) else self.mask(sub))
@@ -386,9 +379,10 @@ def rado_prefix(n, max_elements=DEFAULT_MAX_ELEMENTS):
 
     (i,j) <= (k,l) iff (i = k and j <= l) or j < k.
     """
+    count = n * (n + 1) // 2 if n > 0 else 0
+    if count > max_elements:
+        raise SizeLimit(f"rado_prefix({n}) has {count} > {max_elements} elements")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
-    if len(pairs) > max_elements:
-        raise SizeLimit(f"rado_prefix({n}) has {len(pairs)} > {max_elements} elements")
     names = [f"({i},{j})" for i, j in pairs]
     rows = []
     for i, j in pairs:

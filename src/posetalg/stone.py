@@ -87,24 +87,18 @@ def elem_from_clopen(space, mask):
     return algebra.from_clopen(space.poset, space.points, mask)
 
 
-def clopen_to_json(space, mask):
-    """Clopen as a sorted list of final segments (each a sorted name list)."""
-    segs = [sorted(space.poset.names_of(space.points[k])) for k in iter_bits(mask)]
-    segs.sort()
-    return segs
-
-
 # -- subalgebra generation ----------------------------------------------------
 
 
-def signature_blocks(space, gens):
-    """Partition of the points by their membership pattern in the generators.
+def signature_blocks(count, gens):
+    """Partition of the points 0..count-1 by their membership pattern in the
+    generators.
 
     The subalgebra generated by ``gens`` is exactly the set of unions of
     these blocks, so it has size 2**len(blocks).
     """
     by_sig = {}
-    for k in range(len(space.points)):
+    for k in range(count):
         sig = tuple((g >> k) & 1 for g in gens)
         by_sig.setdefault(sig, 0)
         by_sig[sig] |= 1 << k
@@ -113,7 +107,7 @@ def signature_blocks(space, gens):
 
 def generates(space, gens):
     """True iff the clopens generate the full algebra of the space."""
-    return len(signature_blocks(space, gens)) == len(space.points)
+    return len(signature_blocks(len(space.points), gens)) == len(space.points)
 
 
 def subalgebra_closure(space, gens, cap=DEFAULT_CLOSURE_CAP):
@@ -244,15 +238,8 @@ def interval_algebra_check(linear):
     rays = {a: universe & ~((1 << a) - 1) for a in range(n)}
 
     # ray-generated subalgebra of the power set, via signature blocks
-    gens = [rays[a] for a in range(n)]
-    by_sig = {}
-    for k in range(n):
-        sig = tuple((g >> k) & 1 for g in gens)
-        by_sig.setdefault(sig, 0)
-        by_sig[sig] |= 1 << k
-    blocks = list(by_sig.values())
     ray_algebra = {0}
-    for b in blocks:
+    for b in signature_blocks(n, [rays[a] for a in range(n)]):
         ray_algebra |= {m | b for m in ray_algebra}
 
     rest = chain(n - 1)  # the chain minus its minimum
@@ -309,7 +296,3 @@ def enumerate_algebra(space):
     if count > 20:
         raise ClosureOverflow(f"2**{count} elements is too many to enumerate")
     return range(1 << count)
-
-
-def size_of_algebra(space):
-    return 1 << len(space.points)

@@ -39,9 +39,6 @@ class Front:
             return s[0] < t[0]
         return s[1:] == t[: self.k - 1]
 
-    def successors(self, s):
-        return [t for t in self.blocks if self.precedes(s, t)]
-
     def related_pairs(self):
         for s in self.blocks:
             for t in self.blocks:
@@ -89,8 +86,8 @@ class ArrayLabeling:
 def rado_identity_labeling(horizon):
     """The standard witness: blocks {i,j} of the pair front labeled by the
     matching element (i,j) of the Rado prefix."""
-    fr = Front(2, horizon)
     poset = rado_prefix(horizon)
+    fr = Front(2, horizon)
     label = {(i, j): f"({i},{j})" for i, j in fr.blocks}
     return ArrayLabeling(fr, poset, label)
 
@@ -141,17 +138,27 @@ def labeling_from_json(data):
     the element '1'.  A malformed poset, a ``"labels"`` value that is not an
     object, a key that is not comma-separated integers or a label that is not
     a string or integer raises ParseError, as do a document that is not an
-    object and a missing or non-integer ``"k"`` or ``"N"``."""
+    object and a missing or non-integer ``"k"`` or ``"N"``.  Fewer labels than
+    the front has blocks raise UnknownElement before any block is listed."""
     if not isinstance(data, dict):
         raise ParseError("a labeling must be a JSON object")
     if data.get("generator") == "rado-identity":
         return rado_identity_labeling(_int_field(data, "N"))
     horizon = _int_field(data, "N")
-    fr = Front(_int_field(data, "k"), horizon)
-    poset = from_json_dict(data["poset"]) if "poset" in data else rado_prefix(horizon)
+    k = _int_field(data, "k")
     labels = data.get("labels")
     if not isinstance(labels, dict):
         raise ParseError("'labels' must be an object of block -> element name")
+    # C(N, k) by its running products, stopped once it passes the label count
+    blocks = int(1 <= k <= horizon)
+    for i in range(min(k, horizon - k)):
+        if blocks > len(labels):
+            break
+        blocks = blocks * (horizon - i) // (i + 1)
+    if blocks > len(labels):
+        raise UnknownElement(f"fewer labels than the C({horizon}, {k}) blocks of the front")
+    poset = from_json_dict(data["poset"]) if "poset" in data else rado_prefix(horizon)
+    fr = Front(k, horizon)
     label = {}
     for key, value in labels.items():
         try:

@@ -225,3 +225,37 @@ def test_verify_human_mode(runner):
     result = runner.invoke(main, ["verify", "--suite", "interval-algebra", "--human"])
     assert result.exit_code == 0
     assert "\n  " in result.output  # indented JSON
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["--suite", "rado", "--horizon", "16"], "SizeLimit"),
+        (["--suite", "is-pi-iso", "--max-size", "129"], "SizeLimit"),
+        (["--suite", "rado", "--out", "/nonexistent-dir/report.json"], "FileNotFoundError"),
+    ],
+    ids=["horizon-too-large", "max-size-too-large", "unwritable-out"],
+)
+def test_verify_typed_error_exit_2(runner, args, error):
+    result = runner.invoke(main, ["verify", *args])
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == 2
+    out = json.loads(result.stdout)
+    assert out["error"] == error and out["detail"]
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--horizon", "1"), ("--max-size", "-3"), ("--max-size", "0"), ("--samples", "-1")],
+)
+def test_verify_out_of_range_option_is_usage_error(runner, option, value):
+    result = runner.invoke(main, ["verify", "--suite", "rado", option, value])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"Invalid value for '{option}'" in result.stderr
+
+
+def test_export_dot_unwritable_out_exit_2(runner, v3_file):
+    result = runner.invoke(main, ["poset", "export-dot", v3_file, "--out", "/nonexistent-dir/g.dot"])
+    assert result.exit_code == 2
+    assert json.loads(result.stdout)["error"] == "FileNotFoundError"

@@ -1,7 +1,8 @@
 """Fuzz the CLI's input paths in-process: every input gives exit 0, 1 or 2 with
 JSON on stdout, and no exception other than SystemExit escapes.  Covers
 ``pal poset check`` and the four ``pal alg`` commands (eq, leq, normalize,
-dnf), which share the poset loader and the checked evaluator."""
+dnf), which share the poset loader and the checked evaluator, and the
+integer options of ``pal verify``."""
 
 import json
 
@@ -73,12 +74,17 @@ def poset_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "poset.json"
 
 
-def _invoke(args):
+def _invoke(args, usage_errors=False):
+    """Run the CLI; with ``usage_errors``, click's own rejection of an option
+    (exit 2, a message on stderr, nothing on stdout) is allowed as well."""
     result = CliRunner().invoke(main, args)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         args, result.exc_info)
     assert result.exit_code in (0, 1, 2), (args, result.output)
-    json.loads(result.stdout)
+    if usage_errors and result.exit_code == 2 and not result.stdout:
+        assert "Invalid value" in result.stderr, (args, result.stderr)
+    else:
+        json.loads(result.stdout)
     return result
 
 
@@ -124,3 +130,18 @@ def test_fuzz_alg_leq(poset_path, raw, left, right, oracle):
 def test_fuzz_alg_one_expression(poset_path, command, raw, expr):
     poset_path.write_bytes(raw)
     _invoke(["alg", command, "-p", str(poset_path), "--", expr])
+
+
+@settings(FUZZ, max_examples=30)
+@given(
+    suite=st.sampled_from(["rado", "is-pi-iso"]),
+    horizon=st.integers(-3, 20),
+    max_size=st.integers(-3, 5),
+)
+def test_fuzz_verify_options(suite, horizon, max_size):
+    result = _invoke(["verify", "--suite", suite, "--horizon", str(horizon),
+                      "--max-size", str(max_size)], usage_errors=True)
+    if horizon < 2 or max_size < 1:
+        assert result.exit_code == 2 and not result.stdout
+    elif suite == "is-pi-iso" or 3 <= horizon <= 15:
+        assert result.exit_code == 0, result.output

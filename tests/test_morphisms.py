@@ -1,3 +1,4 @@
+import json
 import operator
 import random
 
@@ -23,7 +24,8 @@ def all_elems(poset):
 
 
 def test_identity_extension_fixes_everything(v3):
-    hom = morphisms.identity_hom(v3)
+    gens = [algebra.gen(v3, p) for p in range(v3.n)]
+    hom = morphisms.extend_hom(v3, morphisms.PosetAlgebraTarget(v3), gens)
     _, elems = all_elems(v3)
     assert len(elems) == 32
     for e in elems:
@@ -130,15 +132,32 @@ class _OneForComplement:
         return self._target.one()
 
 
-@pytest.mark.parametrize("suite", ["hom-laws", "relativize", "emap"])
-def test_corrupt_image_table_fails_suite_records(monkeypatch, suite):
+@pytest.mark.parametrize("suite, failures, first", [
+    pytest.param("hom-laws", 194, {
+        "suite": "hom-laws", "poset": "triple0", "params": {"src": 1, "tgt": 1},
+        "verdict": "fail", "witness": {"reason": "route mismatch", "elem": 1},
+    }, id="hom-laws"),
+    pytest.param("relativize", 86, {
+        "suite": "relativize", "poset": "n2#1", "params": {"qs": 2},
+        "verdict": "fail", "witness": {"q": "0", "reason": "route mismatch", "y": 1},
+    }, id="relativize"),
+    pytest.param("emap", 16, {
+        "suite": "emap", "poset": "chain1xchain1", "params": {"cases": 7},
+        "verdict": "fail", "witness": {"prop": 2, "a": "1", "elem": 1},
+    }, id="emap"),
+])
+def test_corrupt_image_table_fails_suite_records(monkeypatch, suite, failures, first):
     """The suites' second routes do not read the image tables, so a broken
-    table shows up as failing records."""
+    table shows up as failing records: these counts and first witnesses pin
+    where each case ends early."""
     build = morphisms._image_table
     monkeypatch.setattr(morphisms, "_image_table",
                         lambda target, *args: build(_OneForComplement(target), *args))
     report = suites.run_suite(suite, suites.SuiteConfig())
-    assert report["failures"] > 0
+    counterexample = dict(report["firstCounterexample"])
+    counterexample.pop("elapsed_ms")
+    assert report["failures"] == failures
+    assert json.dumps(counterexample) == json.dumps(first)
 
 
 # -- subposet embeddings ------------------------------------------------------------------

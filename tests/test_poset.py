@@ -76,7 +76,7 @@ def test_upset_downset_minimals(v3):
     assert sorted(v3.names_of(v3.upset(["a"]))) == ["a", "c"]
     assert sorted(v3.names_of(v3.minimals(v3.mask(["a", "c"])))) == ["a"]
     assert v3.upset([]) == 0
-    assert sorted(v3.names_of(v3.downset(["c"]))) == ["a", "b", "c"]
+    assert sorted(v3.names_of(v3.down[v3.id("c")])) == ["a", "b", "c"]
 
 
 def test_initial_segments_examples(v3):

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ def strip_elapsed(report):
     out.pop("elapsedMs", None)
     for record in out.get("results", []):
         record.pop("elapsed_ms", None)
+    out.get("firstCounterexample", {}).pop("elapsed_ms", None)
     for sub in out.get("suites", []):
         sub.pop("elapsedMs", None)
         for record in sub.get("results", []):
@@ -52,11 +55,54 @@ def test_unknown_suite_raises():
 
 def test_failures_carry_witnesses():
     rec = suites._Recorder("demo")
-    rec.add("p1", {"k": 1}, True)
-    rec.add("p2", {"k": 2}, False, witness={"sigma": ["a"]}, cases=5)
+    with rec.case("p1", {"k": 1}):
+        pass
+    with rec.case("p2", {"k": 2}, cases=0, count_as="checked") as case:
+        for i in range(10):
+            case.cases += 1
+            if i == 4:
+                raise suites.Witness({"sigma": ["a"]})
     assert rec.failures == 1 and rec.cases == 6
-    failed = [r for r in rec.results if r["verdict"] == "fail"]
-    assert failed[0]["witness"] == {"sigma": ["a"]}
+    first, failed = rec.results
+    assert first["verdict"] == "pass" and "witness" not in first
+    assert failed["verdict"] == "fail" and failed["witness"] == {"sigma": ["a"]}
+    assert failed["params"] == {"k": 2, "checked": 5}
+    with pytest.raises(ZeroDivisionError):
+        with rec.case("p3", cases=0) as case:
+            case.cases += 3
+            1 / 0
+    assert len(rec.results) == 2 and rec.cases == 6 and rec.failures == 1
+
+
+# Per suite at SuiteConfig(max_size=4, samples=100, horizon=6): cases,
+# failures, record count and the sha256 of the report's JSON with the
+# timing fields removed.
+PINNED_REPORTS = {
+    "fact24": (4056, 0, 29, "d8d93c85b6cf92ede7188dbe8cf225500f74d60ca47a020a9e0aa271dbfc8936"),
+    "pi-order": (3956, 0, 24, "bd7b6fb49eb011563d26299010913579c36eecbb083dfa7d6de6f13f80335eb5"),
+    "join-prime": (48167, 0, 24, "d8a1fc5fe929fb7c5a149c943bf36ddaf0a2321456ffe1d5f71b85bb61842ab3"),
+    "is-pi-iso": (27, 0, 27, "53e86f04d366c3497bcdf79249a43abb1e8bc893a708e2a5e22f361921f0906d"),
+    "chain-lattice": (32, 0, 32, "929ad8f4a6a088af6ede518d24fe79a425854c490aebd8a42bad2b2bd8544903"),
+    "rado": (5, 0, 5, "81fa25d5e63d070b2a5bd2dbc76880d961323cb18ec96e82713cac5a97a3aee1"),
+    "emap": (3760, 0, 16, "bfba863b6838a31b71fcc05d4d1a041c2b9c6b25b7cb2d637a247568e1c34f4d"),
+    "product-gen": (17, 0, 17, "c35d1dabf12e4be479cdb1cdb511700c18596aad742da08308ecd60c7723b037"),
+    "relativize": (1110, 0, 24, "ab7cbde563304112efc8a5c02480358eeaa54c8e7abfd5a79ebb90c9f7c54c02"),
+    "hom-laws": (46761, 0, 200, "1a2271f5ea2762a9bf21a7815dfc18f933fd79ef2740c1c7b94b1bf01b4e19f0"),
+    "h-construction": (56, 0, 25, "85c6438d5f63e54b20993972406dbc5dae9ac23cdfc716621452fd105f33cb91"),
+    "binary-subbase": (24, 0, 24, "33c5a7f0afe6b64a2b6da61d7e38a5d64383a1f2d71f332d1798a2110b9eec09"),
+    "interval-algebra": (6, 0, 6, "bcc393c3d08a4d5b0421773a0fbf256bf3b26d858120725ae54ba4eaa2146d87"),
+    "lex-layering": (50, 0, 50, "fd0a81125d82f80520b5b033a9a355473721f2b1877bbea946a16791dc0ba2fc"),
+}
+
+
+def test_pinned_reports():
+    assert list(PINNED_REPORTS) == list(suites.SUITES)
+    config = suites.SuiteConfig(max_size=4, samples=100, horizon=6)
+    for name, (cases, failures, records, digest) in PINNED_REPORTS.items():
+        report = strip_elapsed(suites.run_suite(name, config))
+        got = (report["cases"], report["failures"], len(report["results"]),
+               hashlib.sha256(json.dumps(report).encode()).hexdigest())
+        assert got == (cases, failures, records, digest), name
 
 
 def test_corpus_scaling_beyond_five():

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_max_antichain_size, brute_longest_chain
 from posetalg import lattice, wqo
-from posetalg.errors import BadArity, ParseError, UnknownElement
+from posetalg.errors import BadArity, ParseError, SizeLimit, UnknownElement
 from posetalg.poset import antichain, build_poset, chain, rado_prefix, random_poset
 
 
@@ -36,7 +36,7 @@ def test_precedes_irreflexive_nonempty_successors():
         for s in fr.blocks:
             assert not fr.precedes(s, s)
             if max(s) < fr.horizon - 1:
-                assert fr.successors(s)
+                assert any(fr.precedes(s, t) for t in fr.blocks)
 
 
 def test_front_square():
@@ -187,6 +187,31 @@ def test_labeling_from_json_malformed_labels(labels):
 def test_labeling_from_json_malformed_document(data):
     with pytest.raises(ParseError):
         wqo.labeling_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        ({"generator": "rado-identity", "N": 1000}, SizeLimit),
+        ({"k": 2, "N": 1000, "labels": {"0,1": "(0,1)"}}, UnknownElement),
+        ({"k": 3, "N": 10 ** 9, "labels": {}}, UnknownElement),
+        ({"k": 3, "N": 3, "labels": {}}, UnknownElement),
+    ],
+    ids=["rado-identity", "too-few-labels", "huge-front", "one-block"],
+)
+def test_labeling_from_json_checks_size_before_listing_blocks(monkeypatch, data, error):
+    def no_front(*args):
+        raise AssertionError("the front was listed before the size check")
+
+    monkeypatch.setattr(wqo, "Front", no_front)
+    with pytest.raises(error):
+        wqo.labeling_from_json(data)
+
+
+def test_rado_prefix_checks_size_before_listing_pairs():
+    with pytest.raises(SizeLimit, match="20100"):
+        rado_prefix(200)
+    assert rado_prefix(-3).n == rado_prefix(0).n == 0
 
 
 def test_probe_examples():
