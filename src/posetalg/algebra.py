@@ -13,12 +13,20 @@ onto a larger support U, ``_lift`` maps each of its own traces to its bit
 every trace t of U in one pass, and packs the result back into an int.
 ``meet``/``join`` are then ``&``/``|`` of lifted tables and ``equals``
 compares them; an operand already on U is used as it is.
+
+Elements built from generators skip the kernel.  ``Poset.columns(S)`` gives,
+for each p in S, the bitmask of the traces of S that hold p; the table of
+x_p is then that column, and a Boolean term over generators is evaluated in
+one pass on the columns of its union support: ``&``/``|`` of columns and
+``^`` with the all-ones table.  ``elementary_product``, ``gen``,
+``join_products`` and ``exprs.to_elem`` build their elements this way.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from operator import and_, or_
 
 from .errors import EnumerationOverflow, PosetMismatch, UnknownElement
@@ -90,11 +98,25 @@ def one(poset):
 
 def gen(poset, p):
     """Generator x_p: true exactly on final segments containing p."""
-    i = poset.id(p)
-    support = 1 << i
+    return elementary_product(poset, 1 << poset.id(p), 0)
+
+
+def _columns(poset, support):
+    """(traces, cols, full) of a support: its up-sets, size-checked, then
+    ``Poset.columns`` and the all-ones table over those up-sets."""
     traces = _traces(poset, support)
-    truth = sum(1 << k for k, t in enumerate(traces) if t)
-    return AlgebraElem(poset, support, truth, traces)
+    count, cols = poset.columns(support)
+    return traces, cols, (1 << count) - 1
+
+
+def _product_truth(cols, full, pos, neg=0):
+    """Table of x_pos & -x_neg from the columns of a support holding both."""
+    truth = full
+    for p in iter_bits(pos):
+        truth &= cols[p]
+    for q in iter_bits(neg):
+        truth &= ~cols[q]
+    return truth
 
 
 def _bits(e):
@@ -130,13 +152,6 @@ def join(e1, e2):
 def complement(e):
     full = (1 << len(e.traces)) - 1
     return AlgebraElem(e.poset, e.support, e.truth ^ full, e.traces)
-
-
-def join_all(poset, elems):
-    out = zero(poset)
-    for e in elems:
-        out = join(out, e)
-    return out
 
 
 def is_zero(e):
@@ -189,17 +204,25 @@ def elementary_product(poset, sigma, tau):
     s = sigma if isinstance(sigma, int) else poset.mask(sigma)
     t = tau if isinstance(tau, int) else poset.mask(tau)
     support = s | t
-    traces = _traces(poset, support)
-    truth = 0
-    for k, trace in enumerate(traces):
-        if trace & s == s and trace & t == 0:
-            truth |= 1 << k
-    return AlgebraElem(poset, support, truth, traces)
+    traces, cols, full = _columns(poset, support)
+    return AlgebraElem(poset, support, _product_truth(cols, full, s, t), traces)
 
 
 def product_elem(poset, sigma):
     """x_sigma: the meet of generators over sigma (1 when sigma is empty)."""
     return elementary_product(poset, sigma, 0)
+
+
+def join_products(poset, sigmas):
+    """The join of the products x_sigma over masks ``sigmas`` (0 when empty),
+    evaluated in one pass on the columns of their union support."""
+    sigmas = list(sigmas)
+    support = reduce(or_, sigmas, 0)
+    traces, cols, full = _columns(poset, support)
+    truth = 0
+    for s in sigmas:
+        truth |= _product_truth(cols, full, s)
+    return AlgebraElem(poset, support, truth, traces)
 
 
 def support_reduce(e):

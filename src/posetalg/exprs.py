@@ -111,26 +111,44 @@ def parse(text):
 def to_elem(poset, node):
     """Evaluate an expression tree in the symbolic algebra.
 
-    A tree too deep to evaluate raises ParseError."""
+    One pass collects the union support of the tree's variables; a second
+    evaluates the tree as ``&``/``|``/``^`` on the bit columns of that
+    support, so no intermediate element is built.  A tree too deep to
+    evaluate raises ParseError."""
     try:
-        return _to_elem(poset, node)
+        support = _support(poset, node)
+        traces, cols, full = algebra._columns(poset, support)
+        truth = _eval(poset, cols, full, node)
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
+    return algebra.AlgebraElem(poset, support, truth, traces)
 
 
-def _to_elem(poset, node):
+def _support(poset, node):
     kind = node[0]
     if kind == "var":
-        return algebra.gen(poset, node[1])
+        return 1 << poset.id(node[1])
     if kind == "const":
-        return algebra.one(poset) if node[1] else algebra.zero(poset)
+        return 0
     if kind == "not":
-        return algebra.complement(_to_elem(poset, node[1]))
-    if kind == "and":
-        return algebra.meet(_to_elem(poset, node[1]), _to_elem(poset, node[2]))
-    if kind == "or":
-        return algebra.join(_to_elem(poset, node[1]), _to_elem(poset, node[2]))
+        return _support(poset, node[1])
+    if kind in ("and", "or"):
+        return _support(poset, node[1]) | _support(poset, node[2])
     raise ParseError(f"bad node {node!r}")
+
+
+def _eval(poset, cols, full, node):
+    # _support has already rejected any other node kind
+    kind = node[0]
+    if kind == "var":
+        return cols[poset.id(node[1])]
+    if kind == "const":
+        return full if node[1] else 0
+    if kind == "not":
+        return _eval(poset, cols, full, node[1]) ^ full
+    if kind == "and":
+        return _eval(poset, cols, full, node[1]) & _eval(poset, cols, full, node[2])
+    return _eval(poset, cols, full, node[1]) | _eval(poset, cols, full, node[2])
 
 
 def variables(node):

@@ -126,9 +126,7 @@ class LatticeElem:
         return " + ".join(_term_str(self.poset, s) for s in sorted(self.terms))
 
     def to_elem(self):
-        return algebra.join_all(
-            self.poset, [algebra.product_elem(self.poset, s) for s in self.terms]
-        )
+        return algebra.join_products(self.poset, self.terms)
 
 
 def l_elem(poset, terms):

@@ -34,7 +34,30 @@ def iter_bits(mask):
 
 
 def popcount(mask):
-    return bin(mask).count("1")
+    return mask.bit_count()
+
+
+def _split_columns(up, down, support, memo):
+    """(count, cols) of ``Poset.columns``, memoised on the sub-support.
+
+    With h the top id of U, the sorted up-sets of U are those of U - down(h)
+    followed by those of U - up(h), each joined with U & up(h).  ``memo``
+    starts as ``{0: (1, {})}``: the empty support has the empty up-set.
+    """
+    h = support.bit_length() - 1
+    sub = support & ~down[h]
+    lo_count, lo = memo.get(sub) or _split_columns(up, down, sub, memo)
+    sub = support & ~up[h]
+    hi_count, hi = memo.get(sub) or _split_columns(up, down, sub, memo)
+    # below or beside h: the column of U - up(h) above that of U - down(h)
+    cols = {p: lo.get(p, 0) | col << lo_count for p, col in hi.items()}
+    # h and above: in every up-set of the second block
+    ones = ((1 << hi_count) - 1) << lo_count
+    cols[h] = ones
+    for p in iter_bits(up[h] & support & ~(1 << h)):
+        cols[p] = lo[p] | ones
+    got = memo[support] = (lo_count + hi_count, cols)
+    return got
 
 
 class Poset:
@@ -44,7 +67,9 @@ class Poset:
     derived structure is cached; instances are safe to share between threads.
     """
 
-    __slots__ = ("names", "up", "down", "full", "_ids", "_topo", "_upset_cache")
+    __slots__ = (
+        "names", "up", "down", "full", "_ids", "_topo", "_upset_cache", "_column_cache"
+    )
 
     def __init__(self, names, up_rows):
         n = len(names)
@@ -71,6 +96,7 @@ class Poset:
         # linear extension: strictly smaller down-sets come first
         self._topo = sorted(range(n), key=lambda i: (popcount(self.down[i]), i))
         self._upset_cache = {}
+        self._column_cache = {}
 
     @property
     def n(self):
@@ -179,6 +205,22 @@ class Poset:
         result = tuple(sets)
         self._upset_cache[support] = result
         return result
+
+    def columns(self, support):
+        """(count, cols): the up-sets of ``support`` as bit columns.
+
+        ``count`` is ``len(upsets_of(support))`` and, for each element p of
+        the support, bit k of ``cols[p]`` is set iff p is in the k-th up-set
+        of ``upsets_of(support)``.  No up-set is listed; callers that need a
+        size check call ``upsets_of`` first.  Cached per support.
+        """
+        support &= self.full
+        cached = self._column_cache.get(support)
+        if cached is None:
+            memo = {0: (1, {})}
+            cached = memo.get(support) or _split_columns(self.up, self.down, support, memo)
+            self._column_cache[support] = cached
+        return cached
 
     def final_segment_masks(self, max_count=DEFAULT_MAX_SEGMENTS):
         return self.upsets_of(self.full, max_count)

@@ -389,9 +389,10 @@ def suite_rado(config):
         pairs = list(arr.front.related_pairs())
         good = sum(1 for s, t in pairs if arr.poset.up[arr.label[s]] >> arr.label[t] & 1)
         case.params["relatedPairs"] = len(pairs)
-        if verdict != "bad" or good:
+        # bad means no related pair ascends, vacuously so when there are none
+        if good:
             raise Witness({"verdict": verdict, "goodPairs": good})
-    return rec, {"badArray": verdict == "bad", "antichainSize": widths[-1]}
+    return rec, {"badArray": not good, "antichainSize": widths[-1]}
 
 
 # -- 7/8. the product map and product generation ---------------------------------------

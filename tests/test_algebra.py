@@ -1,4 +1,5 @@
 import functools
+import gc
 import random
 from itertools import permutations
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_denote, brute_final_segments
-from posetalg import algebra, corpus, exprs, stone
+from posetalg import algebra, corpus, exprs, lattice, stone
 from posetalg.errors import EnumerationOverflow, ParseError, PosetMismatch, UnknownElement
 from posetalg.poset import antichain, chain, iter_bits, popcount, random_poset
 
@@ -279,7 +280,7 @@ def test_dnf_round_trip(case):
     e = exprs.to_elem(p, node)
     products = algebra.to_dnf(e)
     terms = [algebra.elementary_product(p, pr.pos, pr.neg) for pr in products]
-    assert algebra.equals(algebra.join_all(p, terms), e)
+    assert algebra.equals(functools.reduce(algebra.join, terms, algebra.zero(p)), e)
     for pr in products:
         assert not algebra.is_zero_syntactic(p, pr.pos, pr.neg)
 
@@ -423,6 +424,67 @@ def test_to_elem_deep_tree_is_parse_error(v3):
     # a left-deep chain parses without recursion, then is too deep to evaluate
     with pytest.raises(ParseError):
         exprs.to_elem(v3, exprs.parse(" & ".join(["x(a)"] * 3000)))
+
+
+def _fold(p, node):
+    """The element of a tree built one operation at a time."""
+    kind = node[0]
+    if kind == "var":
+        return algebra.gen(p, node[1])
+    if kind == "const":
+        return algebra.one(p) if node[1] else algebra.zero(p)
+    if kind == "not":
+        return algebra.complement(_fold(p, node[1]))
+    combine = algebra.meet if kind == "and" else algebra.join
+    return combine(_fold(p, node[1]), _fold(p, node[2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_poset_expr())
+def test_to_elem_matches_pairwise_fold(case):
+    idx, node = case
+    p = POSET_POOL[idx]
+    got, want = exprs.to_elem(p, node), _fold(p, node)
+    assert (got.support, got.truth, got.traces) == (want.support, want.truth, want.traces)
+
+
+def test_to_elem_support_cap():
+    wide = antichain(21)
+    node = exprs.parse(" | ".join(f"x({i})" for i in range(21)))
+    with pytest.raises(EnumerationOverflow):
+        exprs.to_elem(wide, node)
+
+
+def test_to_elem_unknown_name_reported_before_cap():
+    # every name is resolved before the union support is enumerated
+    wide = antichain(22)
+    node = exprs.parse(" & ".join(f"x({i})" for i in range(22)) + " & x(zzz)")
+    with pytest.raises(UnknownElement):
+        exprs.to_elem(wide, node)
+
+
+@pytest.mark.parametrize("kind", ["not", "and", "or"])
+def test_to_elem_deep_right_tree_is_parse_error(v3, kind):
+    node = ("var", "a")
+    for _ in range(3000):
+        node = ("not", node) if kind == "not" else (kind, ("var", "b"), node)
+    with pytest.raises(ParseError):
+        exprs.to_elem(v3, node)
+
+
+def test_building_elements_leaves_no_garbage_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        p = random_poset(6, 0.3, seed=4)
+        exprs.to_elem(p, exprs.parse("x(0) & !x(1) | (x(2) | !(x(3) & x(5)))"))
+        algebra.elementary_product(p, 0b000101, 0b110000)
+        for e in lattice.enumerate_l(p, max_term_size=2)[:50]:
+            e.to_elem()
+        del p, e
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_variables():

@@ -207,6 +207,18 @@ def test_verify_rado_aggregate(runner):
     assert report["antichainSize"] >= 5
 
 
+def test_verify_rado_horizon_2_is_vacuously_bad(runner):
+    # front(2,2) has one block and no related pairs: no pair ascends
+    result = runner.invoke(
+        main, ["verify", "--suite", "rado", "--horizon", "2", "--max-size", "1"]
+    )
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["failures"] == 0 and report["badArray"] is True
+    (record,) = [r for r in report["results"] if r["poset"] == "front(2,2)"]
+    assert record["verdict"] == "pass" and record["params"] == {"relatedPairs": 0}
+
+
 def test_verify_fact24_beyond_exhaustive_corpus(runner):
     result = runner.invoke(
         main, ["verify", "--suite", "fact24", "--max-size", "6", "--seed", "42"]

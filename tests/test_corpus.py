@@ -1,10 +1,12 @@
-"""The exhaustive corpus and the up-set enumerator against brute force."""
+"""The exhaustive corpus, the up-set enumerator and its bit columns against brute force."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
 
 from posetalg import corpus
+from posetalg.poset import antichain, chain, iter_bits, product, rado_prefix, random_poset
 
 
 def reference_canon(rows, n):
@@ -65,3 +67,32 @@ def test_upsets_of_matches_power_set_filter():
             assert p.upsets_of(support) == tuple(sorted(expected))
             checked += 1
     assert checked == 1 * 2 + 2 * 4 + 5 * 8 + 16 * 16  # posets times supports, n = 1..4
+
+
+def assert_columns_match_traces(p, support):
+    count, cols = p.columns(support)
+    traces = p.upsets_of(support)
+    assert count == len(traces)
+    assert sorted(cols) == list(iter_bits(support))
+    for q, col in cols.items():
+        assert col == sum(1 << k for k, t in enumerate(traces) if t >> q & 1)
+
+
+def test_columns_match_trace_membership_on_corpus():
+    checked = 0
+    for p in corpus.corpus_posets(5):
+        for support in range(1 << p.n):
+            assert_columns_match_traces(p, support)
+            checked += 1
+    assert checked == 1 * 2 + 2 * 4 + 5 * 8 + 16 * 16 + 63 * 32  # posets times supports, n = 1..5
+
+
+@pytest.mark.parametrize(
+    "p",
+    [rado_prefix(5), antichain(12), product(chain(4), chain(5))[0], random_poset(20, 0.1, 101)],
+    ids=["rado5", "antichain12", "chain4xchain5", "random20"],
+)
+def test_columns_match_trace_membership_on_sampled_supports(p):
+    rng = random.Random(p.n)
+    for support in [0, p.full] + [rng.getrandbits(p.n) for _ in range(30)]:
+        assert_columns_match_traces(p, support)

@@ -143,5 +143,5 @@ def test_fuzz_verify_options(suite, horizon, max_size):
                       "--max-size", str(max_size)], usage_errors=True)
     if horizon < 2 or max_size < 1:
         assert result.exit_code == 2 and not result.stdout
-    elif suite == "is-pi-iso" or 3 <= horizon <= 15:
+    elif suite == "is-pi-iso" or 2 <= horizon <= 15:
         assert result.exit_code == 0, result.output

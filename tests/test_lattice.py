@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,21 @@ def test_l_join_keeps_incomparable(v3):
     dj = stone.denote_elem(space, j.to_elem())
     for s in lattice.enumerate_pi(v3):
         assert stone.denote_elem(space, algebra.product_elem(v3, s)) != dj
+
+
+def test_to_elem_matches_join_of_product_elems():
+    checked = 0
+    for p in corpus.corpus_posets(4):
+        for e in lattice.enumerate_l(p) + [lattice.LatticeElem(p, [])]:
+            got = e.to_elem()
+            want = functools.reduce(
+                algebra.join,
+                [algebra.product_elem(p, s) for s in e.terms],
+                algebra.zero(p),
+            )
+            assert (got.support, got.truth, got.traces) == (want.support, want.truth, want.traces)
+            checked += 1
+    assert checked == 487  # lattice elements plus one zero per poset, n = 1..4
 
 
 def test_l_join_prunes_dominated(v3):
