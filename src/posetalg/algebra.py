@@ -15,11 +15,13 @@ every trace t of U in one pass, and packs the result back into an int.
 compares them; an operand already on U is used as it is.
 
 Elements built from generators skip the kernel.  ``Poset.columns(S)`` gives,
-for each p in S, the bitmask of the traces of S that hold p; the table of
-x_p is then that column, and a Boolean term over generators is evaluated in
-one pass on the columns of its union support: ``&``/``|`` of columns and
-``^`` with the all-ones table.  ``elementary_product``, ``gen``,
-``join_products`` and ``exprs.to_elem`` build their elements this way.
+for each p in S, the bitmask of the traces of S that hold p; it comes from
+the same split enumerator and the same cache entry as the traces themselves
+(``Poset.upsets_of``).  The table of x_p is then that column, and a Boolean
+term over generators is evaluated in one pass on the columns of its union
+support: ``&``/``|`` of columns and ``^`` with the all-ones table.
+``elementary_product``, ``gen``, ``join_products`` and ``exprs.to_elem``
+build their elements this way.
 """
 
 from __future__ import annotations

@@ -33,6 +33,14 @@ def _error(exc):
     return {"error": name, "detail": str(exc)}
 
 
+def _checked(fn, *args, human=False):
+    """``fn(*args)``, or exit 2 with the type of the PosetAlgError it raised."""
+    try:
+        return fn(*args)
+    except PosetAlgError as exc:
+        _fail(_error(exc), 2, human)
+
+
 def _write(path, text):
     """Write an output file; one that cannot be written is a usage error."""
     try:
@@ -101,7 +109,7 @@ def poset_show(file, as_json):
             "covers": [[p.names[i], p.names[j]] for i, j in p.cover_pairs()],
             "minimals": sorted(p.names_of(p.minimals())),
             "maximals": sorted(p.names_of(p.maximals())),
-            "finalSegments": len(p.final_segment_masks()),
+            "finalSegments": len(_checked(p.final_segment_masks, human=not as_json)),
         },
         not as_json,
     )
@@ -121,20 +129,6 @@ def poset_export_dot(file, out):
 
 
 # -- algebra commands -----------------------------------------------------------
-
-
-def _parse_exprs(texts):
-    try:
-        return [exprs.parse(t) for t in texts]
-    except ParseError as exc:
-        _fail(_error(exc), 2)
-
-
-def _eval_checked(p, node):
-    try:
-        return exprs.to_elem(p, node)
-    except PosetAlgError as exc:
-        _fail(_error(exc), 2)
 
 
 _poset_option = click.option("--poset", "-p", "poset_file", required=True,
@@ -158,11 +152,11 @@ def _comparison(name, decide, holds, doc):
     @click.argument("right")
     def command(poset_file, oracle, as_json, left, right):
         p, _data = _load_poset(poset_file)
-        nodes = _parse_exprs([left, right])
-        verdict = decide(*(_eval_checked(p, n) for n in nodes))
+        nodes = [_checked(exprs.parse, text) for text in (left, right)]
+        verdict = decide(*(_checked(exprs.to_elem, p, n) for n in nodes))
         report = {"verdict": verdict}
         if oracle:
-            space = stone.StoneSpace(p)
+            space = _checked(stone.StoneSpace, p)
             oracle_verdict = holds(*(stone.denote_expr(space, n) for n in nodes))
             report["oracle"] = oracle_verdict
             report["agreement"] = verdict == oracle_verdict
@@ -184,8 +178,8 @@ alg_leq = _comparison("leq", algebra.leq, lambda d1, d2: d1 & ~d2 == 0,
 def alg_normalize(poset_file, as_json, expr):
     """Print the canonical minimal-support form of an expression."""
     p, _data = _load_poset(poset_file)
-    node = _parse_exprs([expr])[0]
-    e = algebra.support_reduce(_eval_checked(p, node))
+    node = _checked(exprs.parse, expr)
+    e = algebra.support_reduce(_checked(exprs.to_elem, p, node))
     _emit(
         {
             "support": sorted(p.names_of(e.support)),
@@ -204,8 +198,8 @@ def alg_normalize(poset_file, as_json, expr):
 def alg_dnf(poset_file, as_json, expr):
     """Print a disjunctive normal form of an expression."""
     p, _data = _load_poset(poset_file)
-    node = _parse_exprs([expr])[0]
-    products = algebra.to_dnf(_eval_checked(p, node))
+    node = _checked(exprs.parse, expr)
+    products = algebra.to_dnf(_checked(exprs.to_elem, p, node))
     _emit(
         {
             "dnf": algebra.dnf_str(products, p),
@@ -241,10 +235,7 @@ def verify(suite, seed, samples, max_size, horizon, strict_lattice, as_json, out
         horizon=horizon,
         strict=strict_lattice,
     )
-    try:
-        report = suites.run_suite(suite, config)
-    except PosetAlgError as exc:
-        _fail(_error(exc), 2)
+    report = _checked(suites.run_suite, suite, config)
     _emit(report, not as_json, out)
     sys.exit(1 if report["failures"] else 0)
 

@@ -149,15 +149,3 @@ def _eval(poset, cols, full, node):
     if kind == "and":
         return _eval(poset, cols, full, node[1]) & _eval(poset, cols, full, node[2])
     return _eval(poset, cols, full, node[1]) | _eval(poset, cols, full, node[2])
-
-
-def variables(node):
-    kind = node[0]
-    if kind == "var":
-        return {node[1]}
-    if kind == "const":
-        return set()
-    out = set()
-    for child in node[1:]:
-        out |= variables(child)
-    return out

@@ -37,27 +37,60 @@ def popcount(mask):
     return mask.bit_count()
 
 
-def _split_columns(up, down, support, memo):
-    """(count, cols) of ``Poset.columns``, memoised on the sub-support.
+def _split(up, down, support, max_count):
+    """(traces, (count, cols)) of the up-sets of ``support``.
 
-    With h the top id of U, the sorted up-sets of U are those of U - down(h)
-    followed by those of U - up(h), each joined with U & up(h).  ``memo``
-    starts as ``{0: (1, {})}``: the empty support has the empty up-set.
+    With h the top id of U, an up-set of U either misses h, and then all of
+    down(h), or holds h, and then all of U & up(h).  So the up-sets of U are
+    those of U - down(h), then those of U - up(h) each joined with U & up(h):
+    ascending with no sort, as h is the top bit of U.  ``cols[p]`` has bit k
+    set iff p is in the k-th of the ``count`` up-sets.
+
+    Two loops, not recursion, so a tall poset does not exhaust the stack:
+    the first finds the sub-supports the split reaches and counts the splits
+    that read each; the second solves them in ascending order (a sub-support
+    is a proper subset, so a smaller int) and drops each once its last
+    reader is done.  More than ``max_count`` up-sets on any sub-support, and
+    so on ``support``, raise EnumerationOverflow before that list is built.
     """
-    h = support.bit_length() - 1
-    sub = support & ~down[h]
-    lo_count, lo = memo.get(sub) or _split_columns(up, down, sub, memo)
-    sub = support & ~up[h]
-    hi_count, hi = memo.get(sub) or _split_columns(up, down, sub, memo)
-    # below or beside h: the column of U - up(h) above that of U - down(h)
-    cols = {p: lo.get(p, 0) | col << lo_count for p, col in hi.items()}
-    # h and above: in every up-set of the second block
-    ones = ((1 << hi_count) - 1) << lo_count
-    cols[h] = ones
-    for p in iter_bits(up[h] & support & ~(1 << h)):
-        cols[p] = lo[p] | ones
-    got = memo[support] = (lo_count + hi_count, cols)
-    return got
+    # the empty support has the empty up-set; {p} has that and {p}
+    memo = {0: ((0,), (1, {}))}
+    users = {}
+    splits = []
+    stack = [support] if support else []
+    while stack:
+        s = stack.pop()
+        h = s.bit_length() - 1
+        lo_sub = s & ~down[h]
+        hi_sub = s & ~up[h]
+        splits.append((s, h, lo_sub, hi_sub))
+        for sub in (lo_sub, hi_sub):
+            if sub not in users:
+                if sub & (sub - 1):
+                    stack.append(sub)
+                elif sub:
+                    memo[sub] = ((0, sub), (2, {sub.bit_length() - 1: 2}))
+            users[sub] = users.get(sub, 0) + 1
+    splits.sort()
+    for s, h, lo_sub, hi_sub in splits:
+        left = users[lo_sub] = users[lo_sub] - 1
+        lo, (lo_count, lo_cols) = memo[lo_sub] if left else memo.pop(lo_sub)
+        left = users[hi_sub] = users[hi_sub] - 1
+        hi, (hi_count, hi_cols) = memo[hi_sub] if left else memo.pop(hi_sub)
+        if lo_count + hi_count > max_count:
+            raise EnumerationOverflow(
+                f"more than {max_count} up-sets on {popcount(support)} elements"
+            )
+        top = s & up[h]
+        # below or beside h: the column of U - up(h) above that of U - down(h)
+        cols = {p: lo_cols.get(p, 0) | col << lo_count for p, col in hi_cols.items()}
+        # h and above: in every up-set of the second block
+        ones = ((1 << hi_count) - 1) << lo_count
+        cols[h] = ones
+        for p in iter_bits(top ^ 1 << h):
+            cols[p] = lo_cols[p] | ones
+        memo[s] = (lo + tuple([u | top for u in hi]), (lo_count + hi_count, cols))
+    return memo[support]
 
 
 class Poset:
@@ -67,9 +100,7 @@ class Poset:
     derived structure is cached; instances are safe to share between threads.
     """
 
-    __slots__ = (
-        "names", "up", "down", "full", "_ids", "_topo", "_upset_cache", "_column_cache"
-    )
+    __slots__ = ("names", "up", "down", "full", "_ids", "_cache")
 
     def __init__(self, names, up_rows):
         n = len(names)
@@ -93,10 +124,7 @@ class Poset:
         self._ids = {name: i for i, name in enumerate(self.names)}
         if len(self._ids) != n:
             raise DuplicateName("duplicate element names")
-        # linear extension: strictly smaller down-sets come first
-        self._topo = sorted(range(n), key=lambda i: (popcount(self.down[i]), i))
-        self._upset_cache = {}
-        self._column_cache = {}
+        self._cache = {}
 
     @property
     def n(self):
@@ -175,52 +203,40 @@ class Poset:
         return self.upset(mask) == mask
 
     def linear_extension(self):
-        return list(self._topo)
+        """Element ids ordered so that strictly smaller down-sets come first."""
+        return sorted(range(self.n), key=lambda i: (popcount(self.down[i]), i))
 
     # -- segment enumeration -------------------------------------------------
+
+    def _enumerate(self, support, max_count=DEFAULT_MAX_SEGMENTS):
+        """(traces, (count, cols)) of ``_split`` for ``support``, cached."""
+        support &= self.full
+        got = self._cache.get(support)
+        if got is None:
+            got = self._cache[support] = _split(self.up, self.down, support, max_count)
+        return got
 
     def upsets_of(self, support, max_count=DEFAULT_MAX_SEGMENTS):
         """All up-closed subsets of the subposet induced on ``support``.
 
-        Returned sorted ascending as bitmasks over P; cached per support.
-        Elements are added maximal-first so partial families stay up-closed.
+        A tuple of bitmasks over P, sorted ascending, from the one split
+        enumerator ``_split`` that also gives ``columns``; cached per support
+        beside the columns.  More than ``max_count`` up-sets raise
+        EnumerationOverflow before a list over the cap is built, and leave
+        nothing in the cache.
         """
-        support &= self.full
-        cached = self._upset_cache.get(support)
-        if cached is not None:
-            return cached
-        order = [i for i in self._topo if support >> i & 1]
-        sets = [0]
-        scope = 0
-        for e in reversed(order):
-            need = self.up[e] & scope
-            bit = 1 << e
-            sets.extend([u | bit for u in sets if u & need == need])
-            scope |= bit
-            if len(sets) > max_count:
-                raise EnumerationOverflow(
-                    f"more than {max_count} up-sets on {popcount(support)} elements"
-                )
-        sets.sort()
-        result = tuple(sets)
-        self._upset_cache[support] = result
-        return result
+        return self._enumerate(support, max_count)[0]
 
     def columns(self, support):
         """(count, cols): the up-sets of ``support`` as bit columns.
 
         ``count`` is ``len(upsets_of(support))`` and, for each element p of
         the support, bit k of ``cols[p]`` is set iff p is in the k-th up-set
-        of ``upsets_of(support)``.  No up-set is listed; callers that need a
-        size check call ``upsets_of`` first.  Cached per support.
+        of ``upsets_of(support)``.  Both come from the same ``_split`` call
+        and the same cache entry.  The default cap applies; callers with a
+        support cap of their own check it first.
         """
-        support &= self.full
-        cached = self._column_cache.get(support)
-        if cached is None:
-            memo = {0: (1, {})}
-            cached = memo.get(support) or _split_columns(self.up, self.down, support, memo)
-            self._column_cache[support] = cached
-        return cached
+        return self._enumerate(support)[1]
 
     def final_segment_masks(self, max_count=DEFAULT_MAX_SEGMENTS):
         return self.upsets_of(self.full, max_count)

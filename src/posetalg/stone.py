@@ -22,12 +22,9 @@ class StoneSpace:
 
     __slots__ = ("poset", "points", "index")
 
-    def __init__(self, poset, max_count=None):
+    def __init__(self, poset):
         self.poset = poset
-        if max_count is None:
-            self.points = poset.final_segment_masks()
-        else:
-            self.points = poset.final_segment_masks(max_count)
+        self.points = poset.final_segment_masks()
         self.index = {seg: k for k, seg in enumerate(self.points)}
 
     def __len__(self):

@@ -485,7 +485,3 @@ def test_building_elements_leaves_no_garbage_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_variables():
-    assert exprs.variables(exprs.parse("x(a) & !x(b) | 0")) == {"a", "b"}

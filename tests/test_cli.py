@@ -271,3 +271,46 @@ def test_export_dot_unwritable_out_exit_2(runner, v3_file):
     result = runner.invoke(main, ["poset", "export-dot", v3_file, "--out", "/nonexistent-dir/g.dot"])
     assert result.exit_code == 2
     assert json.loads(result.stdout)["error"] == "FileNotFoundError"
+
+
+@pytest.fixture
+def antichain21_file(tmp_path):
+    path = tmp_path / "antichain21.json"
+    path.write_text(json.dumps({"elements": [str(i) for i in range(21)], "le": []}))
+    return str(path)
+
+
+def test_poset_show_segment_overflow_exit_2(runner, antichain21_file):
+    result = runner.invoke(main, ["poset", "show", antichain21_file])
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == 2
+    out = json.loads(result.stdout)
+    assert out["error"] == "EnumerationOverflow" and out["detail"]
+
+
+def test_poset_show_segment_overflow_honours_human(runner, antichain21_file):
+    result = runner.invoke(main, ["poset", "show", antichain21_file, "--human"])
+    assert result.exit_code == 2
+    assert result.stdout.startswith("{\n")
+    assert json.loads(result.stdout)["error"] == "EnumerationOverflow"
+
+
+def test_poset_show_chain_taller_than_recursion_limit(runner, tmp_path):
+    n = 1100
+    path = tmp_path / "chain.json"
+    pairs = [[str(i + 1), str(i)] for i in range(n - 1)]
+    path.write_text(json.dumps({"elements": [str(i) for i in range(n)], "le": pairs}))
+    result = runner.invoke(main, ["poset", "show", str(path)])
+    assert result.exit_code == 0, result.exc_info
+    assert json.loads(result.stdout)["finalSegments"] == n + 1
+
+
+@pytest.mark.parametrize("command", ["eq", "leq"])
+def test_alg_oracle_segment_overflow_exit_2(runner, antichain21_file, command):
+    result = runner.invoke(
+        main, ["alg", command, "-p", antichain21_file, "--oracle", "x(0)", "x(0) | x(1)"]
+    )
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == 2
+    out = json.loads(result.stdout)
+    assert out["error"] == "EnumerationOverflow" and out["detail"]

@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from posetalg import corpus
+from posetalg.errors import EnumerationOverflow
 from posetalg.poset import antichain, chain, iter_bits, product, rado_prefix, random_poset
 
 
@@ -67,6 +68,38 @@ def test_upsets_of_matches_power_set_filter():
             assert p.upsets_of(support) == tuple(sorted(expected))
             checked += 1
     assert checked == 1 * 2 + 2 * 4 + 5 * 8 + 16 * 16  # posets times supports, n = 1..4
+
+
+def power_set_upsets(p, support):
+    """The up-sets of ``support`` as bitmasks over p, sorted: every subset of
+    the induced subposet kept when it is up-closed there."""
+    sub, ids = p.induced(support)
+    return tuple(
+        sorted(
+            sum(1 << ids[k] for k in range(sub.n) if m >> k & 1)
+            for m in range(1 << sub.n)
+            if sub.is_up_closed(m)
+        )
+    )
+
+
+def test_upsets_of_matches_power_set_filter_to_n5_and_sampled_supports():
+    checked = 0
+    for p in corpus.corpus_posets(5):
+        for support in range(1 << p.n):
+            assert p.upsets_of(support) == power_set_upsets(p, support)
+            checked += 1
+    assert checked == 1 * 2 + 2 * 4 + 5 * 8 + 16 * 16 + 63 * 32  # posets times supports, n = 1..5
+    rng = random.Random(5)
+    sampled = [rado_prefix(5), antichain(12), product(chain(4), chain(5))[0]]
+    for p in sampled + [random_poset(20, 0.1, 101)]:
+        for _ in range(30):
+            support = sum(1 << i for i in rng.sample(range(p.n), rng.randint(0, min(12, p.n))))
+            assert p.upsets_of(support) == power_set_upsets(p, support)
+    wide = antichain(12)
+    with pytest.raises(EnumerationOverflow):
+        wide.upsets_of(wide.full, max_count=100)
+    assert len(wide.upsets_of(wide.full)) == 4096
 
 
 def assert_columns_match_traces(p, support):

@@ -322,3 +322,21 @@ def test_names_colliding_as_strings_rejected():
 def test_from_json_dict_malformed_is_parse_error(data):
     with pytest.raises(ParseError):
         from_json_dict(data)
+
+
+def test_upsets_of_chain_taller_than_recursion_limit():
+    """The split runs in loops, so a chain of 1500 enumerates in either id
+    order: rising ids (h on top, the list grows on the up(h) side) and
+    falling ids (h at the bottom, it grows on the down(h) side)."""
+    n = 1500
+    full = (1 << n) - 1
+    names = [str(i) for i in range(n)]
+    rising = Poset(names, [full & ~((1 << i) - 1) for i in range(n)])
+    assert rising.final_segment_masks() == tuple(
+        sorted(full & ~((1 << k) - 1) for k in range(n + 1))
+    )
+    falling = Poset(names, [(1 << (i + 1)) - 1 for i in range(n)])
+    assert falling.final_segment_masks() == tuple((1 << k) - 1 for k in range(n + 1))
+    count, cols = falling.columns(falling.full)
+    assert count == n + 1
+    assert all(cols[p] == ((1 << (n + 1)) - 1) & ~((1 << (p + 1)) - 1) for p in range(n))
