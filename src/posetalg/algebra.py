@@ -7,21 +7,31 @@ up-closed T <= S is realized by the final segment generated by T, so the
 table determines the element exactly.  The table is an int whose bit k is
 the truth at ``traces[k]`` (the sorted up-sets of S).
 
-Binary operations run on one lift-and-gather kernel.  To bring an element
-onto a larger support U, ``_lift`` maps each of its own traces to its bit
-(read off the table as a '0'/'1' string), gathers that bit at ``t & S`` for
-every trace t of U in one pass, and packs the result back into an int.
-``meet``/``join`` are then ``&``/``|`` of lifted tables and ``equals``
-compares them; an operand already on U is used as it is.
+An element carries the number of its traces (``count``) and, once an op has
+needed them, the bit columns of its support (``cols``): ``Poset.columns(S)``
+gives, for each p in S, the bitmask of the traces of S that hold p.  The
+sorted list ``traces`` itself is built on first read, by ``eval_trace``,
+``support_reduce``/``canonical_key``, ``to_dnf`` or the image tables of
+``morphisms``; the kernel ops never read it.
 
-Elements built from generators skip the kernel.  ``Poset.columns(S)`` gives,
-for each p in S, the bitmask of the traces of S that hold p; it comes from
-the same split enumerator and the same cache entry as the traces themselves
-(``Poset.upsets_of``).  The table of x_p is then that column, and a Boolean
-term over generators is evaluated in one pass on the columns of its union
-support: ``&``/``|`` of columns and ``^`` with the all-ones table.
-``elementary_product``, ``gen``, ``join_products`` and ``exprs.to_elem``
-build their elements this way.
+Elements built from generators evaluate on columns.  The table of x_p is the
+column of p, and a Boolean term over generators is evaluated in one pass on
+the columns of its union support: ``&``/``|`` of columns and ``^`` with the
+all-ones table.  ``elementary_product``, ``gen``, ``join_products`` and
+``exprs.to_elem`` build their elements this way.
+
+Binary operations lift both operands onto the union support U and then take
+``&``/``|`` or compare the tables; an operand already on U is used as it is.
+The lift is a Shannon expansion on the columns of U.  The traces of S split
+on its top id h as ``Poset.upsets_of`` lists them: first those missing h,
+then those holding h, a contiguous block whose size is read off the
+element's own column of h.  The lift of the table is then
+``(ucols[h] & lift(hi)) | (~ucols[h] & lift(lo))``, memoised on (sub-support,
+slice) up to a fixed number of bits, and a constant slice lifts to 0 or the
+all-ones table.  Each distinct slice costs a few ops on tables as wide as
+U's, so a lift is cheap when the element's table has structure (few
+distinct slices, as for a term) and quadratic in the worst case (a random
+table on 19 elements lifted onto 20 takes seconds).
 """
 
 from __future__ import annotations
@@ -35,32 +45,62 @@ from .errors import EnumerationOverflow, PosetMismatch, UnknownElement
 from .poset import iter_bits, popcount
 
 DEFAULT_SUPPORT_CAP = 20
+# bits of lifted tables (32 MB) one lift may keep in its memo; past it, slices
+# are recomputed rather than stored, so an operand whose table has no
+# structure (a random one) costs time, not memory
+_LIFT_MEMO_BITS = 1 << 28
 
 
-def _traces(poset, support):
+def _check_cap(support):
     if popcount(support) > DEFAULT_SUPPORT_CAP:
         raise EnumerationOverflow(
             f"support of {popcount(support)} elements exceeds cap {DEFAULT_SUPPORT_CAP}"
         )
+
+
+def _traces(poset, support):
+    _check_cap(support)
     return poset.upsets_of(support)
 
 
 class AlgebraElem:
-    """Immutable value; build via gen/zero/one and the Boolean operations."""
+    """Immutable value; build via gen/zero/one and the Boolean operations.
 
-    __slots__ = ("poset", "support", "traces", "truth", "_ckey")
+    ``AlgebraElem(poset, support, truth, traces)`` builds one from a table
+    over a given list of traces; the ops hand over ``count`` and ``cols``
+    instead, and the list is then built on first read of ``traces``.
+    """
 
-    def __init__(self, poset, support, truth, traces=None):
+    __slots__ = ("poset", "support", "truth", "count", "cols", "_trace_list", "_ckey")
+
+    def __init__(self, poset, support, truth, traces=None, count=None, cols=None):
+        if count is None:
+            if traces is None:
+                count, cols, _ = _columns(poset, support)
+            else:
+                count = len(traces)
         self.poset = poset
         self.support = support
-        self.traces = _traces(poset, support) if traces is None else traces
         self.truth = truth
+        self.count = count
+        self.cols = cols
+        self._trace_list = traces
         self._ckey = None
+
+    @property
+    def traces(self):
+        """The sorted up-sets of the support, listed on first read."""
+        if self._trace_list is None:
+            self._trace_list = _traces(self.poset, self.support)
+        return self._trace_list
 
     def eval_trace(self, trace):
         """Truth at a trace (an up-closed subset of the support)."""
-        k = bisect_left(self.traces, trace)
-        if k == len(self.traces) or self.traces[k] != trace:
+        traces = self._trace_list
+        if traces is None:
+            traces = self.traces
+        k = bisect_left(traces, trace)
+        if k == len(traces) or traces[k] != trace:
             raise UnknownElement(f"not a realizable trace: {trace:b}")
         return bool(self.truth >> k & 1)
 
@@ -91,11 +131,11 @@ def _check_same_poset(e1, e2):
 
 
 def zero(poset):
-    return AlgebraElem(poset, 0, 0)
+    return AlgebraElem(poset, 0, 0, None, 1, {})
 
 
 def one(poset):
-    return AlgebraElem(poset, 0, 1)
+    return AlgebraElem(poset, 0, 1, None, 1, {})
 
 
 def gen(poset, p):
@@ -104,11 +144,11 @@ def gen(poset, p):
 
 
 def _columns(poset, support):
-    """(traces, cols, full) of a support: its up-sets, size-checked, then
-    ``Poset.columns`` and the all-ones table over those up-sets."""
-    traces = _traces(poset, support)
+    """(count, cols, full) of a support: ``Poset.columns``, size-checked,
+    and the all-ones table over its up-sets."""
+    _check_cap(support)
     count, cols = poset.columns(support)
-    return traces, cols, (1 << count) - 1
+    return count, cols, (1 << count) - 1
 
 
 def _product_truth(cols, full, pos, neg=0):
@@ -121,26 +161,75 @@ def _product_truth(cols, full, pos, neg=0):
     return truth
 
 
-def _bits(e):
-    """Map each trace of e to its truth as '0' or '1'."""
-    # a sentinel bit above the table fixes the width of the binary string
-    return dict(zip(e.traces, bin(e.truth | 1 << len(e.traces))[:2:-1]))
+def _union(e1, e2):
+    """(support, count, cols, traces) of the union support of e1 and e2.
+
+    The cap is checked on the union first.  When an operand already sits on
+    the union, its count, columns and traces (None if unlisted) are reused;
+    otherwise the union's columns are fetched once."""
+    _check_same_poset(e1, e2)
+    support = e1.support | e2.support
+    _check_cap(support)
+    on_union = e1 if e1.support == support else e2 if e2.support == support else None
+    if on_union is None:
+        count, cols = e1.poset.columns(support)
+        return support, count, cols, None
+    # with both on the union nothing is lifted, so the columns may stay unread
+    cols = on_union.cols if e1.support == e2.support else _cols(on_union)
+    return support, on_union.count, cols, on_union._trace_list
 
 
-def _lift(e, traces, support):
-    """e's truth table over ``traces``, the up-sets of ``support`` >= e.support."""
+def _cols(e):
+    """e's columns; an element built from a trace list fetches them on first use."""
+    if e.cols is None:
+        e.cols = e.poset.columns(e.support)[1]
+    return e.cols
+
+
+def _lift(e, support, ucols, full):
+    """e's truth table over the up-sets of ``support`` >= e.support, whose
+    columns are ``ucols`` and all-ones table ``full``."""
     if e.support == support:
         return e.truth
-    bit_at, sub = _bits(e), e.support
-    return int("".join([bit_at[t & sub] for t in reversed(traces)]), 2)
+    limit = _LIFT_MEMO_BITS // full.bit_length()
+    ctx = (_cols(e), ucols, e.poset.up, e.poset.down, full, {}, limit)
+    return _shannon(e.support, e.truth, e.count, 0, ctx)
+
+
+def _shannon(s, part, width, offset, ctx):
+    """Lift of ``part``, the ``width`` bits of e's table from bit ``offset``
+    that are the up-sets of the sub-support ``s``, each joined with one fixed
+    set of elements outside s.  ``ctx`` is (e's columns, the union's columns, the
+    poset's up and down rows, the union's all-ones table, the memo and the
+    number of entries it may hold)."""
+    if not part:
+        return 0
+    ecols, ucols, up, down, full, memo, limit = ctx
+    if part == (1 << width) - 1:
+        return full
+    h = s.bit_length() - 1
+    col = ucols[h]
+    if width == 2:
+        # s is {h}: its up-sets are {} and {h}
+        return col if part == 2 else col ^ full
+    key = (s, part)
+    got = memo.get(key)
+    if got is None:
+        hi_width = (ecols[h] >> offset & (1 << width) - 1).bit_count()
+        lo_width = width - hi_width
+        lo = _shannon(s & ~down[h], part & (1 << lo_width) - 1, lo_width, offset, ctx)
+        hi = _shannon(s & ~up[h], part >> lo_width, hi_width, offset + lo_width, ctx)
+        got = col & hi | lo & ~col
+        if len(memo) < limit:
+            memo[key] = got
+    return got
 
 
 def _combine(e1, e2, op):
-    _check_same_poset(e1, e2)
-    support = e1.support | e2.support
-    traces = _traces(e1.poset, support)
-    truth = op(_lift(e1, traces, support), _lift(e2, traces, support))
-    return AlgebraElem(e1.poset, support, truth, traces)
+    support, count, cols, traces = _union(e1, e2)
+    full = (1 << count) - 1
+    truth = op(_lift(e1, support, cols, full), _lift(e2, support, cols, full))
+    return AlgebraElem(e1.poset, support, truth, traces, count, cols)
 
 
 def meet(e1, e2):
@@ -152,8 +241,8 @@ def join(e1, e2):
 
 
 def complement(e):
-    full = (1 << len(e.traces)) - 1
-    return AlgebraElem(e.poset, e.support, e.truth ^ full, e.traces)
+    full = (1 << e.count) - 1
+    return AlgebraElem(e.poset, e.support, e.truth ^ full, e._trace_list, e.count, e.cols)
 
 
 def is_zero(e):
@@ -161,16 +250,16 @@ def is_zero(e):
 
 
 def is_one(e):
-    return e.truth == (1 << len(e.traces)) - 1
+    return e.truth == (1 << e.count) - 1
 
 
 def equals(e1, e2):
     _check_same_poset(e1, e2)
     if e1.support == e2.support:
         return e1.truth == e2.truth
-    support = e1.support | e2.support
-    traces = _traces(e1.poset, support)
-    return _lift(e1, traces, support) == _lift(e2, traces, support)
+    support, count, cols, _ = _union(e1, e2)
+    full = (1 << count) - 1
+    return _lift(e1, support, cols, full) == _lift(e2, support, cols, full)
 
 
 def leq(e1, e2):
@@ -206,8 +295,8 @@ def elementary_product(poset, sigma, tau):
     s = sigma if isinstance(sigma, int) else poset.mask(sigma)
     t = tau if isinstance(tau, int) else poset.mask(tau)
     support = s | t
-    traces, cols, full = _columns(poset, support)
-    return AlgebraElem(poset, support, _product_truth(cols, full, s, t), traces)
+    count, cols, full = _columns(poset, support)
+    return AlgebraElem(poset, support, _product_truth(cols, full, s, t), None, count, cols)
 
 
 def product_elem(poset, sigma):
@@ -220,11 +309,11 @@ def join_products(poset, sigmas):
     evaluated in one pass on the columns of their union support."""
     sigmas = list(sigmas)
     support = reduce(or_, sigmas, 0)
-    traces, cols, full = _columns(poset, support)
+    count, cols, full = _columns(poset, support)
     truth = 0
     for s in sigmas:
         truth |= _product_truth(cols, full, s)
-    return AlgebraElem(poset, support, truth, traces)
+    return AlgebraElem(poset, support, truth, None, count, cols)
 
 
 def support_reduce(e):
@@ -238,7 +327,9 @@ def support_reduce(e):
     canonical minimal-support form of e.
     """
     support = e.support
-    bit_at = _bits(e)
+    # each trace to its truth as '0' or '1'; a sentinel bit above the table
+    # fixes the width of the binary string
+    bit_at = dict(zip(e.traces, bin(e.truth | 1 << e.count)[:2:-1]))
     for s in iter_bits(e.support):
         bit = 1 << s
         if any(bit_at.get(t ^ bit, b) != b for t, b in bit_at.items() if t & bit):
@@ -247,7 +338,7 @@ def support_reduce(e):
         bit_at = {t & ~bit: b for t, b in bit_at.items()}
         support ^= bit
     if support == e.support:
-        return AlgebraElem(e.poset, support, e.truth, e.traces)
+        return AlgebraElem(e.poset, support, e.truth, e.traces, e.count, e.cols)
     traces = _traces(e.poset, support)
     truth = int("".join([bit_at[t] for t in reversed(traces)]), 2)
     return AlgebraElem(e.poset, support, truth, traces)

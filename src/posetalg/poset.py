@@ -37,14 +37,17 @@ def popcount(mask):
     return mask.bit_count()
 
 
-def _split(up, down, support, max_count):
-    """(traces, (count, cols)) of the up-sets of ``support``.
+def _split(up, down, support, max_count, listing):
+    """(count, traces, cols) of the up-sets of ``support``: ``traces`` when
+    ``listing``, else ``cols``; the other form is None.
 
     With h the top id of U, an up-set of U either misses h, and then all of
     down(h), or holds h, and then all of U & up(h).  So the up-sets of U are
     those of U - down(h), then those of U - up(h) each joined with U & up(h):
-    ascending with no sort, as h is the top bit of U.  ``cols[p]`` has bit k
-    set iff p is in the k-th of the ``count`` up-sets.
+    ascending with no sort, as h is the top bit of U.  ``traces`` is that
+    list; ``cols[p]`` has bit k set iff p is in the k-th of the ``count``
+    up-sets.  A split builds one form only, so a caller of the columns never
+    pays for a list and a caller of the list never pays for the columns.
 
     Two loops, not recursion, so a tall poset does not exhaust the stack:
     the first finds the sub-supports the split reaches and counts the splits
@@ -54,7 +57,7 @@ def _split(up, down, support, max_count):
     so on ``support``, raise EnumerationOverflow before that list is built.
     """
     # the empty support has the empty up-set; {p} has that and {p}
-    memo = {0: ((0,), (1, {}))}
+    memo = {0: (1, (0,), None) if listing else (1, None, {})}
     users = {}
     splits = []
     stack = [support] if support else []
@@ -69,19 +72,24 @@ def _split(up, down, support, max_count):
                 if sub & (sub - 1):
                     stack.append(sub)
                 elif sub:
-                    memo[sub] = ((0, sub), (2, {sub.bit_length() - 1: 2}))
+                    memo[sub] = (
+                        (2, (0, sub), None) if listing else (2, None, {sub.bit_length() - 1: 2})
+                    )
             users[sub] = users.get(sub, 0) + 1
     splits.sort()
     for s, h, lo_sub, hi_sub in splits:
         left = users[lo_sub] = users[lo_sub] - 1
-        lo, (lo_count, lo_cols) = memo[lo_sub] if left else memo.pop(lo_sub)
+        lo_count, lo, lo_cols = memo[lo_sub] if left else memo.pop(lo_sub)
         left = users[hi_sub] = users[hi_sub] - 1
-        hi, (hi_count, hi_cols) = memo[hi_sub] if left else memo.pop(hi_sub)
+        hi_count, hi, hi_cols = memo[hi_sub] if left else memo.pop(hi_sub)
         if lo_count + hi_count > max_count:
             raise EnumerationOverflow(
                 f"more than {max_count} up-sets on {popcount(support)} elements"
             )
         top = s & up[h]
+        if listing:
+            memo[s] = (lo_count + hi_count, lo + tuple([u | top for u in hi]), None)
+            continue
         # below or beside h: the column of U - up(h) above that of U - down(h)
         cols = {p: lo_cols.get(p, 0) | col << lo_count for p, col in hi_cols.items()}
         # h and above: in every up-set of the second block
@@ -89,7 +97,7 @@ def _split(up, down, support, max_count):
         cols[h] = ones
         for p in iter_bits(top ^ 1 << h):
             cols[p] = lo_cols[p] | ones
-        memo[s] = (lo + tuple([u | top for u in hi]), (lo_count + hi_count, cols))
+        memo[s] = (lo_count + hi_count, None, cols)
     return memo[support]
 
 
@@ -208,35 +216,46 @@ class Poset:
 
     # -- segment enumeration -------------------------------------------------
 
-    def _enumerate(self, support, max_count=DEFAULT_MAX_SEGMENTS):
-        """(traces, (count, cols)) of ``_split`` for ``support``, cached."""
+    def _entry(self, support, max_count, listing):
+        """The cache entry [count, traces, cols] of ``support``, with the list
+        (``listing``) or the columns filled in by ``_split`` if missing.
+
+        An entry holds what its callers have asked for: a support read only
+        as columns is never listed, and one read only as a list never gets
+        columns.  An overflow leaves the cache as it was.
+        """
         support &= self.full
-        got = self._cache.get(support)
-        if got is None:
-            got = self._cache[support] = _split(self.up, self.down, support, max_count)
-        return got
+        entry = self._cache.get(support) or [0, None, None]
+        form = 1 if listing else 2
+        if entry[form] is None:
+            got = _split(self.up, self.down, support, max_count, listing)
+            entry[0], entry[form] = got[0], got[form]
+            self._cache[support] = entry
+        return entry
 
     def upsets_of(self, support, max_count=DEFAULT_MAX_SEGMENTS):
         """All up-closed subsets of the subposet induced on ``support``.
 
         A tuple of bitmasks over P, sorted ascending, from the one split
-        enumerator ``_split`` that also gives ``columns``; cached per support
-        beside the columns.  More than ``max_count`` up-sets raise
-        EnumerationOverflow before a list over the cap is built, and leave
-        nothing in the cache.
+        enumerator ``_split``; cached in the entry of the support, beside its
+        columns once someone asks for those.  More than ``max_count`` up-sets
+        raise EnumerationOverflow before a list over the cap is built, and
+        leave nothing in the cache.
         """
-        return self._enumerate(support, max_count)[0]
+        return self._entry(support, max_count, True)[1]
 
     def columns(self, support):
         """(count, cols): the up-sets of ``support`` as bit columns.
 
         ``count`` is ``len(upsets_of(support))`` and, for each element p of
         the support, bit k of ``cols[p]`` is set iff p is in the k-th up-set
-        of ``upsets_of(support)``.  Both come from the same ``_split`` call
-        and the same cache entry.  The default cap applies; callers with a
-        support cap of their own check it first.
+        of ``upsets_of(support)``.  Both come from ``_split`` and sit in the
+        same cache entry, but the columns are built without listing the
+        up-sets.  The default cap applies; callers with a support cap of
+        their own check it first.
         """
-        return self._enumerate(support)[1]
+        entry = self._entry(support, DEFAULT_MAX_SEGMENTS, False)
+        return entry[0], entry[2]
 
     def final_segment_masks(self, max_count=DEFAULT_MAX_SEGMENTS):
         return self.upsets_of(self.full, max_count)

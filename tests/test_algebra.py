@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from conftest import brute_denote, brute_final_segments
 from posetalg import algebra, corpus, exprs, lattice, stone
 from posetalg.errors import EnumerationOverflow, ParseError, PosetMismatch, UnknownElement
-from posetalg.poset import antichain, chain, iter_bits, popcount, random_poset
+from posetalg.poset import (
+    Poset,
+    antichain,
+    chain,
+    iter_bits,
+    popcount,
+    product,
+    rado_prefix,
+    random_poset,
+)
 
 POSET_POOL = [
     corpus.v3(),
@@ -120,7 +129,17 @@ def test_support_cap():
         functools.reduce(algebra.meet, [algebra.gen(wide, i) for i in range(22)])
 
 
-# -- the lift-and-gather kernel against the Stone oracle ----------------------------
+@pytest.mark.parametrize("op", [algebra.meet, algebra.join, algebra.equals, algebra.leq])
+def test_support_cap_with_an_operand_on_the_union(op):
+    # the full-support operand already sits on the 25-element union
+    tall = chain(25)
+    space = stone.StoneSpace(tall)
+    big = stone.elem_from_clopen(space, space.full >> 1)
+    with pytest.raises(EnumerationOverflow):
+        op(big, algebra.gen(tall, 0))
+
+
+# -- the column lift against the Stone oracle and a pointwise lift -----------------
 
 
 def _operand(p, space, support, rng):
@@ -166,6 +185,91 @@ def test_lift_matches_stone_oracle(name, p, s1, s2):
             assert algebra.equals(x, y) == (dx == dy)
             assert algebra.leq(x, y) == (dx & ~dy == 0)
             assert algebra.leq(algebra.meet(x, y), x)
+
+
+def _pointwise(e, p, union):
+    """e's table over the up-sets of ``union``, one trace at a time."""
+    return sum(e.eval_trace(t & e.support) << k for k, t in enumerate(p.upsets_of(union)))
+
+
+def _check_ops_against_pointwise(p, e, f, rng):
+    union = e.support | f.support
+    count = len(p.upsets_of(union))
+    le, lf = _pointwise(e, p, union), _pointwise(f, p, union)
+    for got, want in [(algebra.meet(e, f), le & lf), (algebra.join(e, f), le | lf)]:
+        assert (got.support, got.count, got.truth) == (union, count, want)
+    assert algebra.equals(e, f) == (le == lf)
+    # e restated on the union is equal to e; with one trace flipped it is not
+    same = algebra.AlgebraElem(p, union, le, p.upsets_of(union))
+    assert algebra.equals(e, same) and algebra.equals(same, e)
+    other = algebra.AlgebraElem(p, union, le ^ 1 << rng.randrange(count))
+    assert not algebra.equals(e, other) and not algebra.equals(other, e)
+
+
+def test_ops_match_pointwise_lift_on_corpus():
+    rng = random.Random(10)
+    pairs = 0
+    for p in corpus.corpus_posets(4):
+        for s in range(1 << p.n):
+            for t in range(1 << p.n):
+                # one operand built on columns, one from its trace list
+                e = algebra.AlgebraElem(p, s, rng.getrandbits(p.columns(s)[0]))
+                traces = p.upsets_of(t)
+                f = algebra.AlgebraElem(p, t, rng.getrandbits(len(traces)), traces)
+                _check_ops_against_pointwise(p, e, f, rng)
+                pairs += 1
+    assert pairs == 1 * 4 + 2 * 16 + 5 * 64 + 16 * 256  # posets times support pairs, n = 1..4
+
+
+@pytest.mark.parametrize(
+    "p",
+    [rado_prefix(4), product(chain(2), chain(3))[0], random_poset(7, 0.3, seed=1)],
+    ids=["rado4", "chain2xchain3", "random7"],
+)
+def test_ops_match_pointwise_lift_on_sampled_supports(p):
+    # a lift that reads a slice's block size at the wrong offset passes the
+    # n <= 4 corpus; it first goes wrong on five elements
+    rng = random.Random(p.n)
+    for _ in range(40):
+        s, t = rng.getrandbits(p.n), rng.getrandbits(p.n)
+        e = algebra.AlgebraElem(p, s, rng.getrandbits(p.columns(s)[0]))
+        f = algebra.AlgebraElem(p, t, rng.getrandbits(p.columns(t)[0]))
+        _check_ops_against_pointwise(p, e, f, rng)
+
+
+@pytest.mark.parametrize("memo_bits", [None, 0], ids=["memo", "no-memo"])
+def test_ops_match_pointwise_lift_on_antichain12(monkeypatch, memo_bits):
+    if memo_bits is not None:
+        # past the memo's budget every slice is recomputed
+        monkeypatch.setattr(algebra, "_LIFT_MEMO_BITS", memo_bits)
+    p = antichain(12)
+    rng = random.Random(12)
+    s, t = 0b000011111111, 0b111111110000
+    e = algebra.AlgebraElem(p, s, rng.getrandbits(1 << 8))
+    f = algebra.AlgebraElem(p, t, rng.getrandbits(1 << 8))
+    _check_ops_against_pointwise(p, e, f, rng)
+    _check_ops_against_pointwise(p, e, algebra.AlgebraElem(p, s | t, rng.getrandbits(1 << 12)), rng)
+
+
+def _conjunction(p, ids):
+    return exprs.to_elem(p, exprs.parse(" & ".join(f"x({i})" for i in ids)))
+
+
+def test_decide_path_lists_no_up_sets(monkeypatch):
+    def no_listing(self, support, max_count=None):
+        raise AssertionError("upsets_of called on the decide path")
+
+    monkeypatch.setattr(Poset, "upsets_of", no_listing)
+    p = antichain(15)
+    a = _conjunction(p, range(14))
+    b = _conjunction(p, range(13))
+    c = _conjunction(p, range(1, 14))
+    assert (popcount(a.support), popcount(b.support), popcount(c.support)) == (14, 13, 13)
+    assert not algebra.equals(a, b)
+    assert algebra.leq(a, b)
+    assert algebra.equals(algebra.meet(b, c), a)
+    assert algebra.equals(algebra.join(b, a), b)
+    assert algebra.meet(b, c).support == a.support
 
 
 # -- elementary products ----------------------------------------------------------
