@@ -41,10 +41,6 @@ class PosetMismatch(PosetAlgError):
     pass
 
 
-class NotUpClosed(PosetAlgError):
-    pass
-
-
 class BadArity(PosetAlgError):
     pass
 

@@ -249,13 +249,6 @@ def enumerate_l(
     ]
 
 
-def stratum(poset, n, include_unit=True, max_count=DEFAULT_ENUM_CAP):
-    """Lattice elements whose terms all have size <= n."""
-    return enumerate_l(
-        poset, include_unit=include_unit, max_term_size=n, max_count=max_count
-    )
-
-
 # -- closure under meet and join -------------------------------------------------
 
 
@@ -324,7 +317,7 @@ def is_iso_IS_to_Pi(poset):
     return None
 
 
-# -- antichain / chain mining -----------------------------------------------------
+# -- antichain mining ------------------------------------------------------------
 #
 # Every order mined here is given as one bitmask per item, with item a below
 # item b iff masks[a] is a subset of masks[b]: product terms by their initial
@@ -450,29 +443,3 @@ def max_antichain(items, masks):
     left, right = _hopcroft_karp(_strict_less_rows(masks))
     # Koenig: the cover is the unreached left plus the reached right vertices
     return [items[i] for i in iter_bits(left & ~right)], True
-
-
-def _heights(below):
-    """Longest-chain-below height per item, given the strictly-below rows."""
-    n = len(below)
-    heights = [-1] * n
-    for i in sorted(range(n), key=lambda i: popcount(below[i])):
-        heights[i] = max((heights[j] + 1 for j in iter_bits(below[i])), default=0)
-    return heights
-
-
-def longest_descending_chain(items, masks):
-    """A longest strictly descending chain of the items ordered by inclusion
-    of their masks, as a list of items."""
-    if not items:
-        return []
-    below = _transpose(_strict_less_rows(masks))
-    heights = _heights(below)
-    current = max(range(len(items)), key=lambda i: heights[i])
-    chain = [current]
-    while heights[current] > 0:
-        current = next(
-            j for j in iter_bits(below[current]) if heights[j] == heights[current] - 1
-        )
-        chain.append(current)
-    return [items[i] for i in chain]

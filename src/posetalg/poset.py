@@ -7,7 +7,6 @@ are plain Python ints used as bitmasks; ``up[i]`` is the bitmask row
 
 from __future__ import annotations
 
-import json
 import random
 from itertools import combinations
 
@@ -22,7 +21,7 @@ from .errors import (
 )
 
 DEFAULT_MAX_ELEMENTS = 128
-DEFAULT_MAX_SEGMENTS = 1 << 20
+MAX_SEGMENTS = 1 << 20
 
 
 def iter_bits(mask):
@@ -37,7 +36,7 @@ def popcount(mask):
     return mask.bit_count()
 
 
-def _split(up, down, support, max_count, listing):
+def _split(up, down, support, listing):
     """(count, traces, cols) of the up-sets of ``support``: ``traces`` when
     ``listing``, else ``cols``; the other form is None.
 
@@ -53,8 +52,9 @@ def _split(up, down, support, max_count, listing):
     the first finds the sub-supports the split reaches and counts the splits
     that read each; the second solves them in ascending order (a sub-support
     is a proper subset, so a smaller int) and drops each once its last
-    reader is done.  More than ``max_count`` up-sets on any sub-support, and
-    so on ``support``, raise EnumerationOverflow before that list is built.
+    reader is done.  More than ``MAX_SEGMENTS`` up-sets on any sub-support,
+    and so on ``support``, raise EnumerationOverflow before that list is
+    built.
     """
     # the empty support has the empty up-set; {p} has that and {p}
     memo = {0: (1, (0,), None) if listing else (1, None, {})}
@@ -82,9 +82,9 @@ def _split(up, down, support, max_count, listing):
         lo_count, lo, lo_cols = memo[lo_sub] if left else memo.pop(lo_sub)
         left = users[hi_sub] = users[hi_sub] - 1
         hi_count, hi, hi_cols = memo[hi_sub] if left else memo.pop(hi_sub)
-        if lo_count + hi_count > max_count:
+        if lo_count + hi_count > MAX_SEGMENTS:
             raise EnumerationOverflow(
-                f"more than {max_count} up-sets on {popcount(support)} elements"
+                f"more than {MAX_SEGMENTS} up-sets on {popcount(support)} elements"
             )
         top = s & up[h]
         if listing:
@@ -216,33 +216,34 @@ class Poset:
 
     # -- segment enumeration -------------------------------------------------
 
-    def _entry(self, support, max_count, listing):
+    def _entry(self, support, listing):
         """The cache entry [count, traces, cols] of ``support``, with the list
         (``listing``) or the columns filled in by ``_split`` if missing.
 
         An entry holds what its callers have asked for: a support read only
         as columns is never listed, and one read only as a list never gets
-        columns.  An overflow leaves the cache as it was.
+        columns.  An overflow leaves the cache as it was, so every entry was
+        built under the one cap ``MAX_SEGMENTS``.
         """
         support &= self.full
         entry = self._cache.get(support) or [0, None, None]
         form = 1 if listing else 2
         if entry[form] is None:
-            got = _split(self.up, self.down, support, max_count, listing)
+            got = _split(self.up, self.down, support, listing)
             entry[0], entry[form] = got[0], got[form]
             self._cache[support] = entry
         return entry
 
-    def upsets_of(self, support, max_count=DEFAULT_MAX_SEGMENTS):
+    def upsets_of(self, support):
         """All up-closed subsets of the subposet induced on ``support``.
 
         A tuple of bitmasks over P, sorted ascending, from the one split
         enumerator ``_split``; cached in the entry of the support, beside its
-        columns once someone asks for those.  More than ``max_count`` up-sets
-        raise EnumerationOverflow before a list over the cap is built, and
-        leave nothing in the cache.
+        columns once someone asks for those.  More than ``MAX_SEGMENTS``
+        up-sets raise EnumerationOverflow before a list over the cap is built,
+        and leave nothing in the cache.
         """
-        return self._entry(support, max_count, True)[1]
+        return self._entry(support, True)[1]
 
     def columns(self, support):
         """(count, cols): the up-sets of ``support`` as bit columns.
@@ -251,19 +252,19 @@ class Poset:
         the support, bit k of ``cols[p]`` is set iff p is in the k-th up-set
         of ``upsets_of(support)``.  Both come from ``_split`` and sit in the
         same cache entry, but the columns are built without listing the
-        up-sets.  The default cap applies; callers with a support cap of
-        their own check it first.
+        up-sets.  The cap ``MAX_SEGMENTS`` applies; callers with a support
+        cap of their own check it first.
         """
-        entry = self._entry(support, DEFAULT_MAX_SEGMENTS, False)
+        entry = self._entry(support, False)
         return entry[0], entry[2]
 
-    def final_segment_masks(self, max_count=DEFAULT_MAX_SEGMENTS):
-        return self.upsets_of(self.full, max_count)
+    def final_segment_masks(self):
+        return self.upsets_of(self.full)
 
-    def initial_segments(self, max_count=DEFAULT_MAX_SEGMENTS):
+    def initial_segments(self):
         """All down-closed subsets, sorted by (size, mask)."""
         full = self.full
-        segs = [full ^ u for u in self.upsets_of(full, max_count)]
+        segs = [full ^ u for u in self.upsets_of(full)]
         segs.sort(key=lambda m: (popcount(m), m))
         return segs
 
@@ -380,11 +381,6 @@ def parse_json_dict(data):
 
 def from_json_dict(data):
     return build_poset(*parse_json_dict(data))
-
-
-def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
 
 
 def chain(n):
@@ -504,22 +500,3 @@ def linear_augmentation(p, seed=0):
     for pos, i in enumerate(order):
         mapping[i] = pos
     return c, mapping
-
-
-def construct(kind, *args, **kwargs):
-    """Dispatcher over the standard constructions by name; returns a Poset."""
-    table = {
-        "chain": chain,
-        "antichain": antichain,
-        "dual": lambda q: q.dual(),
-        "disjoint_sum": disjoint_sum,
-        "lex_sum": lex_sum,
-        "product": lambda p, q, **kw: product(p, q, **kw)[0],
-        "rado_prefix": rado_prefix,
-        "random_poset": random_poset,
-    }
-    try:
-        fn = table[kind]
-    except KeyError:
-        raise UnknownElement(f"unknown construction kind {kind!r}") from None
-    return fn(*args, **kwargs)

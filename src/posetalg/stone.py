@@ -11,10 +11,8 @@ from __future__ import annotations
 import random
 
 from . import algebra
-from .errors import ClosureOverflow, NotUpClosed, PosetMismatch
+from .errors import ClosureOverflow, PosetMismatch
 from .poset import chain, iter_bits
-
-DEFAULT_CLOSURE_CAP = 1 << 16
 
 
 class StoneSpace:
@@ -43,13 +41,6 @@ def v_set(space, p):
         if seg >> i & 1:
             mask |= 1 << k
     return mask
-
-
-def eval_elem(e, segment):
-    """Truth of an element at a final segment."""
-    if not e.poset.is_up_closed(segment):
-        raise NotUpClosed(f"not a final segment: {segment:b}")
-    return e.eval_segment(segment)
 
 
 def denote_elem(space, e):
@@ -105,38 +96,6 @@ def signature_blocks(count, gens):
 def generates(space, gens):
     """True iff the clopens generate the full algebra of the space."""
     return len(signature_blocks(len(space.points), gens)) == len(space.points)
-
-
-def subalgebra_closure(space, gens, cap=DEFAULT_CLOSURE_CAP):
-    """Least set of clopens containing gens, 0, 1, closed under &, |, ~.
-
-    Computed by fixpoint iteration; raises ClosureOverflow past the cap.
-    """
-    full = space.full
-    closed = {0, full}
-    closed.update(m & full for m in gens)
-    frontier = list(closed)
-    while frontier:
-        if len(closed) > cap:
-            raise ClosureOverflow(f"subalgebra closure exceeded {cap} members")
-        new = []
-        current = list(closed)
-        for a in frontier:
-            c = full ^ a
-            if c not in closed:
-                closed.add(c)
-                new.append(c)
-            for b in current:
-                for m in (a & b, a | b):
-                    if m not in closed:
-                        closed.add(m)
-                        new.append(m)
-                        if len(closed) > cap:
-                            raise ClosureOverflow(
-                                f"subalgebra closure exceeded {cap} members"
-                            )
-        frontier = new
-    return closed
 
 
 # -- binary subbase check ------------------------------------------------------

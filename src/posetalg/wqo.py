@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from . import lattice
 from .errors import BadArity, ParseError, UnknownElement
 from .poset import _is_name, from_json_dict, rado_prefix
 
@@ -44,29 +43,6 @@ class Front:
             for t in self.blocks:
                 if self.precedes(s, t):
                     yield s, t
-
-
-def front(k, horizon):
-    return Front(k, horizon)
-
-
-def front_square(fr):
-    """Blocks of the square: unions s | t over preceding pairs."""
-    out = set()
-    for s, t in fr.related_pairs():
-        out.add(tuple(sorted(set(s) | set(t))))
-    return sorted(out)
-
-
-def bad_pairs(poset, seq):
-    """Positions (i, j), i < j, with seq[i] not below-or-equal seq[j]."""
-    ids = [poset.id(p) for p in seq]
-    out = []
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if not poset.up[ids[i]] >> ids[j] & 1:
-                out.append((i, j))
-    return out
 
 
 class ArrayLabeling:
@@ -169,15 +145,3 @@ def labeling_from_json(data):
             raise ParseError(f"label {value!r} is not a string or integer name")
         label[block] = str(value)
     return ArrayLabeling(fr, poset, label)
-
-
-def narrowness_probe(poset):
-    """Exact maximum antichain size of the poset itself."""
-    members, _exact = lattice.max_antichain(list(range(poset.n)), poset.down)
-    return len(members)
-
-
-def wellfoundedness_probe(poset):
-    """Length (element count) of a longest strictly descending chain."""
-    chain = lattice.longest_descending_chain(list(range(poset.n)), poset.down)
-    return len(chain)

@@ -8,7 +8,6 @@ genuinely different routes.
 import pytest
 
 from posetalg import corpus
-from posetalg.poset import build_poset
 
 
 @pytest.fixture
@@ -76,19 +75,21 @@ def brute_max_antichain_size(items, leq_fn):
     return best
 
 
-def brute_longest_chain(items, leq_fn):
-    """Longest strictly increasing chain length, by DFS over all items."""
-    n = len(items)
-
-    def extend(last, used):
-        best = 0
-        for i in range(n):
-            if i not in used and leq_fn(items[last], items[i]) and not leq_fn(items[i], items[last]):
-                best = max(best, 1 + extend(i, used | {i}))
-        return best
-
-    return max((1 + extend(i, {i}) for i in range(n)), default=0)
-
-
-def poset_from_pairs(names, pairs):
-    return build_poset(names, pairs)
+def subalgebra_closure(space, gens):
+    """Least set of clopens of ``space`` containing gens, 0 and 1, closed
+    under &, | and complement, by fixpoint iteration: the reference for
+    ``stone.generates``."""
+    full = space.full
+    closed = {0, full}
+    closed.update(m & full for m in gens)
+    frontier = list(closed)
+    while frontier:
+        new = []
+        current = list(closed)
+        for a in frontier:
+            for m in [full ^ a] + [op for b in current for op in (a & b, a | b)]:
+                if m not in closed:
+                    closed.add(m)
+                    new.append(m)
+        frontier = new
+    return closed

@@ -256,7 +256,7 @@ def _conjunction(p, ids):
 
 
 def test_decide_path_lists_no_up_sets(monkeypatch):
-    def no_listing(self, support, max_count=None):
+    def no_listing(self, support):
         raise AssertionError("upsets_of called on the decide path")
 
     monkeypatch.setattr(Poset, "upsets_of", no_listing)

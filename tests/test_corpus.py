@@ -7,7 +7,15 @@ import pytest
 
 from posetalg import corpus
 from posetalg.errors import EnumerationOverflow
-from posetalg.poset import antichain, chain, iter_bits, product, rado_prefix, random_poset
+from posetalg.poset import (
+    MAX_SEGMENTS,
+    antichain,
+    chain,
+    iter_bits,
+    product,
+    rado_prefix,
+    random_poset,
+)
 
 
 def reference_canon(rows, n):
@@ -69,15 +77,6 @@ def power_set_upsets(p, support):
     )
 
 
-def test_upsets_of_matches_power_set_filter():
-    checked = 0
-    for p in corpus.corpus_posets(4):
-        for support in range(1 << p.n):
-            assert p.upsets_of(support) == power_set_upsets(p, support)
-            checked += 1
-    assert checked == 1 * 2 + 2 * 4 + 5 * 8 + 16 * 16  # posets times supports, n = 1..4
-
-
 def test_upsets_of_matches_power_set_filter_to_n5_and_sampled_supports():
     checked = 0
     for p in corpus.corpus_posets(5):
@@ -92,9 +91,30 @@ def test_upsets_of_matches_power_set_filter_to_n5_and_sampled_supports():
             support = sum(1 << i for i in rng.sample(range(p.n), rng.randint(0, min(12, p.n))))
             assert p.upsets_of(support) == power_set_upsets(p, support)
     wide = antichain(12)
-    with pytest.raises(EnumerationOverflow):
-        wide.upsets_of(wide.full, max_count=100)
     assert len(wide.upsets_of(wide.full)) == 4096
+
+
+def test_segment_cap_holds_cold_and_warm():
+    """2**21 up-sets overflow the one cap on every route, on a cold poset and
+    again once a sub-support is listed and cached; the full support is never
+    cached."""
+    p = antichain(21)
+    assert 1 << p.n > MAX_SEGMENTS
+    routes = [
+        lambda: p.upsets_of(p.full),
+        lambda: p.columns(p.full),
+        p.initial_segments,
+        p.final_segment_masks,
+    ]
+    for warm in (False, True):
+        if warm:
+            sub = 0b111  # also a sub-support that the split of p.full reaches
+            assert len(p.upsets_of(sub)) == p.columns(sub)[0] == 8
+            assert sub in p._cache
+        for route in routes:
+            with pytest.raises(EnumerationOverflow):
+                route()
+            assert p.full not in p._cache
 
 
 def assert_columns_match_traces(p, support):

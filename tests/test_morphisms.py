@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import subalgebra_closure
 from posetalg import algebra, corpus, lattice, morphisms, stone, suites
 from posetalg.errors import (
     NotAnEmbedding,
@@ -12,7 +13,7 @@ from posetalg.errors import (
     NotOrderPreserving,
     PremiseFailed,
 )
-from posetalg.poset import antichain, chain, iter_bits, linear_augmentation
+from posetalg.poset import antichain, chain, linear_augmentation
 
 
 def all_elems(poset):
@@ -401,7 +402,7 @@ def test_h_construction_v3(v3):
     assert res.generates and res.layering
     assert len(res.elems) == 5  # zero plus the four block members
     space = stone.StoneSpace(v3)
-    closure = stone.subalgebra_closure(
+    closure = subalgebra_closure(
         space, [stone.denote_elem(space, e) for e in res.elems]
     )
     assert len(closure) == 32

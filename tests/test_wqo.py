@@ -2,67 +2,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_max_antichain_size, brute_longest_chain
+from conftest import brute_max_antichain_size
 from posetalg import lattice, wqo
 from posetalg.errors import BadArity, ParseError, SizeLimit, UnknownElement
 from posetalg.poset import antichain, build_poset, chain, rado_prefix, random_poset
 
 
 def test_front_blocks():
-    fr = wqo.front(2, 4)
+    fr = wqo.Front(2, 4)
     assert fr.blocks == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     with pytest.raises(BadArity):
-        wqo.front(0, 4)
+        wqo.Front(0, 4)
     with pytest.raises(BadArity):
-        wqo.front(5, 4)
+        wqo.Front(5, 4)
 
 
 def test_precedes_rule():
-    fr = wqo.front(2, 4)
+    fr = wqo.Front(2, 4)
     assert fr.precedes((0, 1), (1, 2))
     assert not fr.precedes((0, 1), (2, 3))
     assert not fr.precedes((0, 1), (0, 1))
 
 
 def test_precedes_arity_one_is_positional():
-    fr = wqo.front(1, 4)
+    fr = wqo.Front(1, 4)
     assert fr.precedes((1,), (3,))
     assert not fr.precedes((3,), (1,))
 
 
 def test_precedes_irreflexive_nonempty_successors():
     for k in (2, 3):
-        fr = wqo.front(k, 6)
+        fr = wqo.Front(k, 6)
         for s in fr.blocks:
             assert not fr.precedes(s, s)
             if max(s) < fr.horizon - 1:
                 assert any(fr.precedes(s, t) for t in fr.blocks)
 
 
-def test_front_square():
-    assert wqo.front_square(wqo.front(2, 3)) == [(0, 1, 2)]
-    squares = wqo.front_square(wqo.front(2, 4))
-    assert all(len(b) == 3 for b in squares)
-    assert (0, 1, 2) in squares and (1, 2, 3) in squares
-
-
-def test_bad_pairs_examples():
-    c3 = chain(3)
-    assert wqo.bad_pairs(c3, ["0", "1", "2"]) == []
-    assert wqo.bad_pairs(c3, ["2", "0"]) == [(0, 1)]
-    r4 = rado_prefix(4)
-    assert wqo.bad_pairs(r4, ["(0,4)", "(1,4)", "(2,4)"]) == [(0, 1), (0, 2), (1, 2)]
-
-
 def test_classify_constant_is_perfect():
-    fr = wqo.front(2, 5)
+    fr = wqo.Front(2, 5)
     p = chain(1)
     arr = wqo.ArrayLabeling(fr, p, {b: "0" for b in fr.blocks})
     assert wqo.classify_array(arr)["verdict"] == "perfect"
 
 
 def test_classify_min_into_chain_is_perfect():
-    fr = wqo.front(2, 6)
+    fr = wqo.Front(2, 6)
     p = chain(6)
     arr = wqo.ArrayLabeling(fr, p, {b: str(min(b)) for b in fr.blocks})
     out = wqo.classify_array(arr)
@@ -70,7 +55,7 @@ def test_classify_min_into_chain_is_perfect():
 
 
 def test_classify_mixed_has_witnesses():
-    fr = wqo.front(1, 4)
+    fr = wqo.Front(1, 4)
     p = chain(4)
     arr = wqo.ArrayLabeling(fr, p, {(0,): "1", (1,): "0", (2,): "2", (3,): "3"})
     out = wqo.classify_array(arr)
@@ -88,7 +73,7 @@ def test_rado_identity_is_bad(n):
 
 
 def test_labeling_requires_total_map():
-    fr = wqo.front(2, 4)
+    fr = wqo.Front(2, 4)
     with pytest.raises(UnknownElement):
         wqo.ArrayLabeling(fr, chain(1), {(0, 1): "0"})
 
@@ -96,9 +81,14 @@ def test_labeling_requires_total_map():
 def test_front_one_consistent_with_bad_pairs():
     p = rado_prefix(4)
     seq = ["(0,1)", "(0,2)", "(1,2)", "(0,4)"]
-    fr = wqo.front(1, len(seq))
+    fr = wqo.Front(1, len(seq))
     arr = wqo.ArrayLabeling(fr, p, {(i,): seq[i] for i in range(len(seq))})
-    bad = set(wqo.bad_pairs(p, seq))
+    bad = {
+        (i, j)
+        for i in range(len(seq))
+        for j in range(i + 1, len(seq))
+        if not p.leq(seq[i], seq[j])
+    }
     out = wqo.classify_array(arr)
     all_pairs = {(s[0], t[0]) for s, t in fr.related_pairs()}
     if out["verdict"] == "bad":
@@ -214,14 +204,15 @@ def test_rado_prefix_checks_size_before_listing_pairs():
     assert rado_prefix(-3).n == rado_prefix(0).n == 0
 
 
+def width(p):
+    """Exact maximum antichain size of the poset, by ``lattice.max_antichain``."""
+    return len(lattice.max_antichain(list(range(p.n)), p.down)[0])
+
+
 def test_probe_examples():
-    assert wqo.narrowness_probe(antichain(4)) == 4
-    assert wqo.wellfoundedness_probe(antichain(4)) == 1
-    assert wqo.narrowness_probe(chain(4)) == 1
-    assert wqo.wellfoundedness_probe(chain(4)) == 4
-    r5 = rado_prefix(5)
-    assert wqo.narrowness_probe(r5) == 5
-    assert wqo.wellfoundedness_probe(r5) == 5
+    assert width(antichain(4)) == 4
+    assert width(chain(4)) == 1
+    assert width(rado_prefix(5)) == 5
 
 
 def test_narrowness_probe_is_exact_past_400_elements():
@@ -230,7 +221,6 @@ def test_narrowness_probe_is_exact_past_400_elements():
     pairs = [(f"c{i}", f"c{i + 1}") for i in range(250)]
     pairs += [(f"c{j - 1}", f"d{j}") for j in range(1, 251)]
     p = build_poset(names, pairs)
-    assert wqo.narrowness_probe(p) == 251
     members, _exact = lattice.max_antichain(list(range(p.n)), p.down)
     assert len(members) == 251
     for a in members:
@@ -242,13 +232,9 @@ def test_narrowness_probe_is_exact_past_400_elements():
 @given(st.integers(1, 10), st.floats(0.0, 1.0), st.integers(0, 999))
 def test_probes_match_brute_force(n, density, seed):
     p = random_poset(n, density, seed)
-    items = list(range(n))
-    assert wqo.narrowness_probe(p) == brute_max_antichain_size(items, p.leq)
-    assert wqo.wellfoundedness_probe(p) == brute_longest_chain(items, p.leq)
+    assert width(p) == brute_max_antichain_size(list(range(n)), p.leq)
 
 
 def test_probes_match_brute_force_at_twelve():
     p = random_poset(12, 0.3, seed=4)
-    items = list(range(12))
-    assert wqo.narrowness_probe(p) == brute_max_antichain_size(items, p.leq)
-    assert wqo.wellfoundedness_probe(p) == brute_longest_chain(items, p.leq)
+    assert width(p) == brute_max_antichain_size(list(range(12)), p.leq)
