@@ -195,7 +195,8 @@ def from_algebra_elem(e, pis=None):
 
 def _antichains(comp, max_size=None, max_count=DEFAULT_ENUM_CAP):
     """All antichains as masks, the empty one first, of the items 0..n-1
-    where comp[i] holds the items comparable to i, in depth-first order."""
+    where comp[i] holds the items comparable to i, in depth-first order.
+    More than ``max_count`` of them raise EnumerationOverflow."""
     out = [0]
     stack = [(0, 0, 0)]  # (next candidate, chosen mask, chosen count)
     while stack:
@@ -213,39 +214,32 @@ def _antichains(comp, max_size=None, max_count=DEFAULT_ENUM_CAP):
     return out
 
 
-def enumerate_pi(poset, include_unit=True, max_size=None, max_count=DEFAULT_ENUM_CAP):
+def enumerate_pi(poset, include_unit=True, max_size=None):
     """All canonical product terms, as sigma masks sorted by (size, mask).
 
     ``include_unit`` admits the empty product (the unit); ``max_size`` caps
     the antichain size, giving the strata of the lattice.
     """
     comp = [up | down for up, down in zip(poset.up, poset.down)]
-    masks = _antichains(comp, max_size, max_count)
+    masks = _antichains(comp, max_size)
     if not include_unit:
         masks = masks[1:]
     masks.sort(key=lambda m: (popcount(m), m))
     return masks
 
 
-def enumerate_l(
-    poset,
-    include_unit=True,
-    max_term_size=None,
-    max_count=DEFAULT_ENUM_CAP,
-):
+def enumerate_l(poset, include_unit=True, max_term_size=None):
     """All canonical lattice elements: joins over nonempty antichains of terms.
 
     The empty join (zero) is representable but not enumerated, matching the
     reading of the lattice as generated from the products by binary joins.
     """
-    pis = enumerate_pi(
-        poset, include_unit=include_unit, max_size=max_term_size, max_count=max_count
-    )
+    pis = enumerate_pi(poset, include_unit=include_unit, max_size=max_term_size)
     less = _strict_less_rows(term_segments(poset, pis))
     comp = [a | b for a, b in zip(less, _transpose(less))]
     return [
         LatticeElem(poset, frozenset(pis[i] for i in iter_bits(mask)), _canonical=True)
-        for mask in _antichains(comp, max_count=max_count)[1:]
+        for mask in _antichains(comp)[1:]
     ]
 
 

@@ -22,6 +22,10 @@ from .errors import (
 
 DEFAULT_MAX_ELEMENTS = 128
 MAX_SEGMENTS = 1 << 20
+# column bits a poset keeps for the sub-supports that its splits solve, beside
+# the entries of the supports that callers asked for; a column is charged its
+# up-sets plus one 64-bit word
+_MEMO_BITS = 1 << 23
 
 
 def iter_bits(mask):
@@ -36,7 +40,7 @@ def popcount(mask):
     return mask.bit_count()
 
 
-def _split(up, down, support, listing):
+def _split(poset, support, listing):
     """(count, traces, cols) of the up-sets of ``support``: ``traces`` when
     ``listing``, else ``cols``; the other form is None.
 
@@ -55,7 +59,16 @@ def _split(up, down, support, listing):
     reader is done.  More than ``MAX_SEGMENTS`` up-sets on any sub-support,
     and so on ``support``, raise EnumerationOverflow before that list is
     built.
+
+    The column form shares its sub-supports across splits: the first loop
+    stops at a sub-support whose columns are cached, and the second keeps
+    the columns it solves in the cache while the kept entries' bits (up-sets
+    plus a 64-bit word, times elements) fit in the poset's ``_MEMO_BITS``;
+    past that budget a solved sub-support is dropped, as the list form drops
+    all of its own.  ``support`` itself is cached by ``Poset._entry``,
+    outside the budget.
     """
+    up, down, cache = poset.up, poset.down, poset._cache
     # the empty support has the empty up-set; {p} has that and {p}
     memo = {0: (1, (0,), None) if listing else (1, None, {})}
     users = {}
@@ -70,7 +83,11 @@ def _split(up, down, support, listing):
         for sub in (lo_sub, hi_sub):
             if sub not in users:
                 if sub & (sub - 1):
-                    stack.append(sub)
+                    entry = None if listing else cache.get(sub)
+                    if entry is None or entry[2] is None:
+                        stack.append(sub)
+                    else:
+                        memo[sub] = (entry[0], None, entry[2])
                 elif sub:
                     memo[sub] = (
                         (2, (0, sub), None) if listing else (2, None, {sub.bit_length() - 1: 2})
@@ -82,13 +99,14 @@ def _split(up, down, support, listing):
         lo_count, lo, lo_cols = memo[lo_sub] if left else memo.pop(lo_sub)
         left = users[hi_sub] = users[hi_sub] - 1
         hi_count, hi, hi_cols = memo[hi_sub] if left else memo.pop(hi_sub)
-        if lo_count + hi_count > MAX_SEGMENTS:
+        count = lo_count + hi_count
+        if count > MAX_SEGMENTS:
             raise EnumerationOverflow(
                 f"more than {MAX_SEGMENTS} up-sets on {popcount(support)} elements"
             )
         top = s & up[h]
         if listing:
-            memo[s] = (lo_count + hi_count, lo + tuple([u | top for u in hi]), None)
+            memo[s] = (count, lo + tuple([u | top for u in hi]), None)
             continue
         # below or beside h: the column of U - up(h) above that of U - down(h)
         cols = {p: lo_cols.get(p, 0) | col << lo_count for p, col in hi_cols.items()}
@@ -97,7 +115,15 @@ def _split(up, down, support, listing):
         cols[h] = ones
         for p in iter_bits(top ^ 1 << h):
             cols[p] = lo_cols[p] | ones
-        memo[s] = (lo_count + hi_count, None, cols)
+        memo[s] = (count, None, cols)
+        if s != support:
+            bits = (count + 64) * len(cols)
+            if poset._memo_bits + bits > _MEMO_BITS:
+                poset._memo_refused += 1
+            else:
+                poset._memo_bits += bits
+                poset._memo_entries += 1
+                cache.setdefault(s, [count, None, None])[2] = cols
     return memo[support]
 
 
@@ -108,7 +134,10 @@ class Poset:
     derived structure is cached; instances are safe to share between threads.
     """
 
-    __slots__ = ("names", "up", "down", "full", "_ids", "_cache")
+    __slots__ = (
+        "names", "up", "down", "full", "_ids", "_cache",
+        "_memo_entries", "_memo_bits", "_memo_refused",
+    )
 
     def __init__(self, names, up_rows):
         n = len(names)
@@ -133,6 +162,10 @@ class Poset:
         if len(self._ids) != n:
             raise DuplicateName("duplicate element names")
         self._cache = {}
+        # sub-support column entries kept under _MEMO_BITS, their bits, and
+        # the ones dropped because they did not fit (unlocked: threads that
+        # build columns at once can miscount, never mis-enumerate)
+        self._memo_entries = self._memo_bits = self._memo_refused = 0
 
     @property
     def n(self):
@@ -220,16 +253,18 @@ class Poset:
         """The cache entry [count, traces, cols] of ``support``, with the list
         (``listing``) or the columns filled in by ``_split`` if missing.
 
-        An entry holds what its callers have asked for: a support read only
-        as columns is never listed, and one read only as a list never gets
-        columns.  An overflow leaves the cache as it was, so every entry was
-        built under the one cap ``MAX_SEGMENTS``.
+        An entry holds what its callers have asked for, plus the columns of
+        sub-supports that column splits kept under ``_MEMO_BITS``: a support
+        read only as columns is never listed, and one read only as a list
+        never gets columns from ``_entry``.  An overflow never caches the
+        support that overflowed, so every entry was built under the one cap
+        ``MAX_SEGMENTS``.
         """
         support &= self.full
         entry = self._cache.get(support) or [0, None, None]
         form = 1 if listing else 2
         if entry[form] is None:
-            got = _split(self.up, self.down, support, listing)
+            got = _split(self, support, listing)
             entry[0], entry[form] = got[0], got[form]
             self._cache[support] = entry
         return entry
@@ -253,7 +288,9 @@ class Poset:
         of ``upsets_of(support)``.  Both come from ``_split`` and sit in the
         same cache entry, but the columns are built without listing the
         up-sets.  The cap ``MAX_SEGMENTS`` applies; callers with a support
-        cap of their own check it first.
+        cap of their own check it first.  Sub-supports that the build solves
+        stay cached for later builds while they fit in the poset's budget
+        ``_MEMO_BITS``; the entry of ``support`` is cached whatever its size.
         """
         entry = self._entry(support, False)
         return entry[0], entry[2]

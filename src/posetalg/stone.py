@@ -16,14 +16,13 @@ from .poset import chain, iter_bits
 
 
 class StoneSpace:
-    """All final segments of a poset, with a point index."""
+    """All final segments of a poset, sorted ascending as bitmasks."""
 
-    __slots__ = ("poset", "points", "index")
+    __slots__ = ("poset", "points")
 
     def __init__(self, poset):
         self.poset = poset
         self.points = poset.final_segment_masks()
-        self.index = {seg: k for k, seg in enumerate(self.points)}
 
     def __len__(self):
         return len(self.points)

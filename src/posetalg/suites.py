@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -539,7 +540,7 @@ def suite_relativize(config):
                 m = len(sub_space.points)
                 atom_img = [0] * m
                 for tr, k in zip(traces, inside):
-                    atom_img[sub_space.index[tr]] |= 1 << k
+                    atom_img[bisect_left(sub_space.points, tr)] |= 1 << k
                 reason = _atom_partition_fault(atom_img, vq)
                 if reason:
                     raise Witness({"q": poset.names[q], "reason": reason})

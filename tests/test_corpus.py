@@ -8,10 +8,13 @@ import pytest
 from posetalg import corpus
 from posetalg.errors import EnumerationOverflow
 from posetalg.poset import (
+    _MEMO_BITS,
     MAX_SEGMENTS,
+    Poset,
     antichain,
     chain,
     iter_bits,
+    lex_sum,
     product,
     rado_prefix,
     random_poset,
@@ -144,3 +147,61 @@ def test_columns_match_trace_membership_on_sampled_supports(p):
     rng = random.Random(p.n)
     for support in [0, p.full] + [rng.getrandbits(p.n) for _ in range(30)]:
         assert_columns_match_traces(p, support)
+
+
+def fresh(p):
+    """A copy of p with an empty cache."""
+    return Poset(p.names, p.up)
+
+
+def test_columns_same_cold_or_warm_in_any_build_order():
+    """Column builds that stop at sub-supports kept by earlier builds give
+    what a build on an empty cache gives, whatever order the supports come in."""
+    rng = random.Random(12)
+    for p in corpus.corpus_posets(5):
+        warm = fresh(p)
+        supports = list(range(1 << p.n))
+        rng.shuffle(supports)
+        for support in supports:
+            assert warm.columns(support) == fresh(p).columns(support)
+    p = random_poset(20, 0.1, 101)
+    warm = fresh(p)
+    for _ in range(40):
+        support = sum(1 << i for i in rng.sample(range(p.n), rng.randint(2, p.n)))
+        assert warm.columns(support) == fresh(p).columns(support)
+        assert warm.upsets_of(support) == fresh(p).upsets_of(support)
+    assert warm._memo_entries > 0
+    assert warm._memo_bits <= _MEMO_BITS
+
+
+def test_split_memo_stays_within_its_budget_on_a_tall_chain():
+    """The falling 1500-chain reaches 1500 nested sub-supports whose columns
+    total far more than the budget: the split keeps the ones that fit and
+    drops the rest, and its columns are still right."""
+    n = 1500
+    falling = Poset([str(i) for i in range(n)], [(1 << (i + 1)) - 1 for i in range(n)])
+    count, cols = falling.columns(falling.full)
+    assert count == n + 1
+    assert all(cols[p] == ((1 << (n + 1)) - 1) & ~((1 << (p + 1)) - 1) for p in range(n))
+    assert 0 < falling._memo_bits <= _MEMO_BITS
+    assert falling._memo_entries > 0 and falling._memo_refused > 0
+    assert falling._memo_entries + falling._memo_refused == n - 2  # sub-supports of 2..n-1 elements
+    assert len(falling._cache) == falling._memo_entries + 1
+
+
+def test_overflowing_split_keeps_only_entries_under_the_cap():
+    """Below a top element, 21 incomparable elements overflow at a proper
+    sub-support: the split keeps the columns it solved before, each within
+    MAX_SEGMENTS, and neither the overflowing sub-support nor the full one."""
+    p = lex_sum(chain(2), [antichain(21), antichain(1)])
+    below = p.full ^ 1 << 21
+    with pytest.raises(EnumerationOverflow):
+        p.columns(p.full)
+    assert p._memo_entries > 0
+    assert below not in p._cache and p.full not in p._cache
+    for support, (count, traces, cols) in p._cache.items():
+        assert count <= MAX_SEGMENTS and count == 1 << support.bit_count()
+        assert traces is None and sorted(cols) == list(iter_bits(support))
+    with pytest.raises(EnumerationOverflow):
+        p.columns(p.full)
+    assert below not in p._cache and p.full not in p._cache
