@@ -44,7 +44,7 @@ from operator import and_, or_
 from .errors import EnumerationOverflow, PosetMismatch, UnknownElement
 from .poset import iter_bits, popcount
 
-DEFAULT_SUPPORT_CAP = 20
+SUPPORT_CAP = 20
 # bits of lifted tables (32 MB) one lift may keep in its memo; past it, slices
 # are recomputed rather than stored, so an operand whose table has no
 # structure (a random one) costs time, not memory
@@ -52,9 +52,9 @@ _LIFT_MEMO_BITS = 1 << 28
 
 
 def _check_cap(support):
-    if popcount(support) > DEFAULT_SUPPORT_CAP:
+    if popcount(support) > SUPPORT_CAP:
         raise EnumerationOverflow(
-            f"support of {popcount(support)} elements exceeds cap {DEFAULT_SUPPORT_CAP}"
+            f"support of {popcount(support)} elements exceeds cap {SUPPORT_CAP}"
         )
 
 

@@ -68,30 +68,30 @@ def all_posets(n):
     return tuple(out)
 
 
-def corpus_posets(max_size):
-    """The exhaustive corpus: every poset with 1..max_size elements."""
+def corpus_posets(largest):
+    """The exhaustive corpus: every poset with 1..largest elements."""
     out = []
-    for n in range(1, max_size + 1):
+    for n in range(1, largest + 1):
         out.extend(all_posets(n))
     return out
 
 
-def with_top(poset, top_name="top"):
-    """Adjoin a new maximum element."""
-    names = list(poset.names) + [top_name]
+def with_top(poset):
+    """Adjoin a new maximum element, named 'top'."""
+    names = list(poset.names) + ["top"]
     pairs = [(poset.names[i], poset.names[j]) for i, j in poset.cover_pairs()]
-    pairs.extend((name, top_name) for name in poset.names)
+    pairs.extend((name, "top") for name in poset.names)
     return build_poset(names, pairs)
 
 
-def directed_corpus(max_size):
-    """Every directed poset with 1..max_size elements up to isomorphism.
+def directed_corpus(largest):
+    """Every directed poset with 1..largest elements up to isomorphism.
 
     A finite directed poset has a maximum, so these are exactly the posets
     one size down with a fresh top adjoined.
     """
     out = []
-    for n in range(1, max_size + 1):
+    for n in range(1, largest + 1):
         for q in all_posets(n - 1):
             out.append(with_top(q))
     return out

@@ -18,8 +18,9 @@ from . import algebra
 from .errors import ClosureOverflow, EnumerationOverflow, PosetMismatch
 from .poset import iter_bits, popcount
 
-DEFAULT_ENUM_CAP = 1 << 20
-DEFAULT_LATTICE_CLOSURE_CAP = 1 << 14
+# the fixed size caps: antichains one enumeration lists, elements one closure holds
+ANTICHAIN_CAP = 1 << 20
+LATTICE_CLOSURE_CAP = 1 << 14
 
 
 # -- product terms -------------------------------------------------------------
@@ -193,48 +194,46 @@ def from_algebra_elem(e, pis=None):
 # -- enumeration ---------------------------------------------------------------
 
 
-def _antichains(comp, max_size=None, max_count=DEFAULT_ENUM_CAP):
+def _antichains(comp):
     """All antichains as masks, the empty one first, of the items 0..n-1
     where comp[i] holds the items comparable to i, in depth-first order.
-    More than ``max_count`` of them raise EnumerationOverflow."""
+    More than ``ANTICHAIN_CAP`` of them raise EnumerationOverflow."""
+    cap = ANTICHAIN_CAP
     out = [0]
-    stack = [(0, 0, 0)]  # (next candidate, chosen mask, chosen count)
+    stack = [(0, 0)]  # (next candidate, chosen mask)
     while stack:
-        start, chosen, size = stack.pop()
-        if max_size is not None and size >= max_size:
-            continue
+        start, chosen = stack.pop()
         for i in range(start, len(comp)):
             if comp[i] & chosen:
                 continue
             mask = chosen | (1 << i)
             out.append(mask)
-            if len(out) > max_count:
-                raise EnumerationOverflow(f"more than {max_count} antichains")
-            stack.append((i + 1, mask, size + 1))
+            if len(out) > cap:
+                raise EnumerationOverflow(f"more than {cap} antichains")
+            stack.append((i + 1, mask))
     return out
 
 
-def enumerate_pi(poset, include_unit=True, max_size=None):
+def enumerate_pi(poset, include_unit=True):
     """All canonical product terms, as sigma masks sorted by (size, mask).
 
-    ``include_unit`` admits the empty product (the unit); ``max_size`` caps
-    the antichain size, giving the strata of the lattice.
+    ``include_unit`` admits the empty product (the unit).
     """
     comp = [up | down for up, down in zip(poset.up, poset.down)]
-    masks = _antichains(comp, max_size)
+    masks = _antichains(comp)
     if not include_unit:
         masks = masks[1:]
     masks.sort(key=lambda m: (popcount(m), m))
     return masks
 
 
-def enumerate_l(poset, include_unit=True, max_term_size=None):
+def enumerate_l(poset, include_unit=True):
     """All canonical lattice elements: joins over nonempty antichains of terms.
 
     The empty join (zero) is representable but not enumerated, matching the
     reading of the lattice as generated from the products by binary joins.
     """
-    pis = enumerate_pi(poset, include_unit=include_unit, max_size=max_term_size)
+    pis = enumerate_pi(poset, include_unit=include_unit)
     less = _strict_less_rows(term_segments(poset, pis))
     comp = [a | b for a, b in zip(less, _transpose(less))]
     return [
@@ -246,10 +245,11 @@ def enumerate_l(poset, include_unit=True, max_term_size=None):
 # -- closure under meet and join -------------------------------------------------
 
 
-def lattice_closure(poset, gens, cap=DEFAULT_LATTICE_CLOSURE_CAP):
+def lattice_closure(poset, gens):
     """Least set of algebra elements containing gens closed under meet, join.
 
-    Elements are deduplicated by their canonical minimal-support form.
+    Elements are deduplicated by their canonical minimal-support form; more
+    than ``LATTICE_CLOSURE_CAP`` of them raise ClosureOverflow.
     """
     for e in gens:
         if e.poset is not poset:
@@ -264,8 +264,8 @@ def lattice_closure(poset, gens, cap=DEFAULT_LATTICE_CLOSURE_CAP):
             for c in (algebra.meet(a, b), algebra.join(a, b)):
                 key = algebra.canonical_key(c)
                 if key not in closed:
-                    if len(closed) >= cap:
-                        raise ClosureOverflow(f"lattice closure exceeded {cap}")
+                    if len(closed) >= LATTICE_CLOSURE_CAP:
+                        raise ClosureOverflow(f"lattice closure exceeded {LATTICE_CLOSURE_CAP}")
                     closed[key] = c
                     frontier.append(c)
     return list(closed.values())

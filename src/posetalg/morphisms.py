@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from . import algebra, lattice, stone
 from .errors import (
-    EnumerationOverflow,
     NotAnEmbedding,
     NotCofinal,
     NotDirected,
@@ -51,14 +50,8 @@ class PosetAlgebraTarget:
     def complement(self, a):
         return algebra.complement(a)
 
-    def eq(self, a, b):
-        return algebra.equals(a, b)
-
     def leq(self, a, b):
         return algebra.leq(a, b)
-
-    def key(self, a):
-        return algebra.canonical_key(a)
 
 
 class MaskAlgebraTarget:
@@ -83,14 +76,8 @@ class MaskAlgebraTarget:
     def complement(self, a):
         return self.full ^ a
 
-    def eq(self, a, b):
-        return a == b
-
     def leq(self, a, b):
         return a & ~b == 0
-
-    def key(self, a):
-        return a
 
 
 def _image_table(target, gen_image, support, traces):
@@ -269,14 +256,10 @@ class EMap:
     sends generator pairs to product generators.
     """
 
-    def __init__(self, left, right, max_elements=128):
-        if left.n * right.n > max_elements:
-            raise EnumerationOverflow(
-                f"product of {left.n}x{right.n} elements exceeds cap {max_elements}"
-            )
+    def __init__(self, left, right):
         self.left = left
         self.right = right
-        self.prod, self.index = product(left, right, max_elements)
+        self.prod, self.index = product(left, right)
         self.target = PosetAlgebraTarget(self.prod)
         self._column_homs = {}
         self._row_homs = {}
@@ -313,14 +296,10 @@ class EMap:
         return self.row_hom(a).apply(b)
 
 
-def e_map(left, right, max_elements=128):
-    return EMap(left, right, max_elements)
-
-
 # -- product generation ------------------------------------------------------------
 
 
-def product_generation_check(left, right, gens_left, gens_right, max_elements=128):
+def product_generation_check(left, right, gens_left, gens_right):
     """Do the pairwise map images of two generating families generate the
     product algebra?  Raises PremiseFailed unless each family generates its
     own algebra."""
@@ -342,7 +321,7 @@ def product_generation_check(left, right, gens_left, gens_right, max_elements=12
         space = stone.StoneSpace(poset)
         if not stone.generates(space, [stone.denote_elem(space, g) for g in gens]):
             raise PremiseFailed(f"{side} family does not generate its algebra")
-    emap = EMap(left, right, max_elements)
+    emap = EMap(left, right)
     images = [emap.apply(a, b) for a in gens_left for b in gens_right]
     space = stone.StoneSpace(emap.prod)
     return stone.generates(space, [stone.denote_elem(space, e) for e in images])
@@ -351,7 +330,7 @@ def product_generation_check(left, right, gens_left, gens_right, max_elements=12
 # -- lexicographic layering ----------------------------------------------------------
 
 
-def lex_layering_check(index, parts, max_elements=128):
+def lex_layering_check(index, parts):
     """Within a lexicographic sum, the proper lattice of a lower part must sit
     strictly below the proper lattice of a higher part.
 
@@ -359,7 +338,7 @@ def lex_layering_check(index, parts, max_elements=128):
     join): the unit and zero falsify strict layering at the representation
     level.  Returns None when the layering holds, else a violation dict.
     """
-    total = lex_sum(index, parts, max_elements)
+    total = lex_sum(index, parts)
     offsets = []
     acc = 0
     for part in parts:

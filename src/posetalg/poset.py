@@ -20,7 +20,8 @@ from .errors import (
     UnknownElement,
 )
 
-DEFAULT_MAX_ELEMENTS = 128
+# the fixed size caps: elements of a constructed poset, up-sets per support
+MAX_ELEMENTS = 128
 MAX_SEGMENTS = 1 << 20
 # column bits a poset keeps for the sub-supports that its splits solve, beside
 # the entries of the supports that callers asked for; a column is charged its
@@ -366,16 +367,12 @@ def _close_and_check(names, pairs):
             rows[ids[a]] |= 1 << ids[b]
         except KeyError as exc:
             raise UnknownElement(f"unknown element {exc.args[0]!r} in relation") from None
-    # Warshall on bitmask rows
+    # Warshall on bitmask rows; Poset() reports a cycle
     for k in range(n):
         rk = rows[k]
         for i in range(n):
             if rows[i] >> k & 1:
                 rows[i] |= rk
-    for i in range(n):
-        for j in iter_bits(rows[i] & ~(1 << i)):
-            if rows[j] >> i & 1:
-                raise CycleError(names[i], names[j])
     return Poset(names, rows)
 
 
@@ -429,7 +426,7 @@ def antichain(n):
     return build_poset([str(i) for i in range(n)], [])
 
 
-def lex_sum(index, parts, max_elements=DEFAULT_MAX_ELEMENTS):
+def lex_sum(index, parts):
     """Lexicographic sum: parts glued along the index poset.
 
     (xi, p) <= (zeta, q) iff xi < zeta in the index, or xi = zeta and p <= q
@@ -438,8 +435,8 @@ def lex_sum(index, parts, max_elements=DEFAULT_MAX_ELEMENTS):
     if len(parts) != index.n:
         raise SizeLimit("lex_sum needs one part per index element")
     total = sum(part.n for part in parts)
-    if total > max_elements:
-        raise SizeLimit(f"lex_sum would have {total} > {max_elements} elements")
+    if total > MAX_ELEMENTS:
+        raise SizeLimit(f"lex_sum would have {total} > {MAX_ELEMENTS} elements")
     names = []
     offsets = []
     for xi, part in enumerate(parts):
@@ -459,15 +456,15 @@ def lex_sum(index, parts, max_elements=DEFAULT_MAX_ELEMENTS):
     return Poset(names, rows)
 
 
-def disjoint_sum(parts, max_elements=DEFAULT_MAX_ELEMENTS):
-    return lex_sum(antichain(len(parts)), parts, max_elements)
+def disjoint_sum(parts):
+    return lex_sum(antichain(len(parts)), parts)
 
 
-def product(p, q, max_elements=DEFAULT_MAX_ELEMENTS):
+def product(p, q):
     """Coordinatewise product order; returns (poset, dict (pid,qid) -> id)."""
     total = p.n * q.n
-    if total > max_elements:
-        raise SizeLimit(f"product would have {total} > {max_elements} elements")
+    if total > MAX_ELEMENTS:
+        raise SizeLimit(f"product would have {total} > {MAX_ELEMENTS} elements")
     names = []
     index = {}
     for a in range(p.n):
@@ -484,14 +481,14 @@ def product(p, q, max_elements=DEFAULT_MAX_ELEMENTS):
     return Poset(names, rows), index
 
 
-def rado_prefix(n, max_elements=DEFAULT_MAX_ELEMENTS):
+def rado_prefix(n):
     """Finite prefix of Rado's poset: pairs (i,j), 0 <= i < j <= n.
 
     (i,j) <= (k,l) iff (i = k and j <= l) or j < k.
     """
     count = n * (n + 1) // 2 if n > 0 else 0
-    if count > max_elements:
-        raise SizeLimit(f"rado_prefix({n}) has {count} > {max_elements} elements")
+    if count > MAX_ELEMENTS:
+        raise SizeLimit(f"rado_prefix({n}) has {count} > {MAX_ELEMENTS} elements")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
     names = [f"({i},{j})" for i, j in pairs]
     rows = []
@@ -504,10 +501,10 @@ def rado_prefix(n, max_elements=DEFAULT_MAX_ELEMENTS):
     return Poset(names, rows)
 
 
-def random_poset(n, density, seed, max_elements=DEFAULT_MAX_ELEMENTS):
+def random_poset(n, density, seed):
     """Seeded random poset: up-edges i->j (i<j) kept with the given density."""
-    if n > max_elements:
-        raise SizeLimit(f"random poset of {n} > {max_elements} elements")
+    if n > MAX_ELEMENTS:
+        raise SizeLimit(f"random poset of {n} > {MAX_ELEMENTS} elements")
     rng = random.Random(seed)
     names = [str(i) for i in range(n)]
     pairs = [

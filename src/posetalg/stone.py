@@ -14,6 +14,9 @@ from . import algebra
 from .errors import ClosureOverflow, PosetMismatch
 from .poset import chain, iter_bits
 
+# posets up to this size get every subfamily scanned by check_binary_subbase
+EXHAUSTIVE_LIMIT = 5
+
 
 class StoneSpace:
     """All final segments of a poset, sorted ascending as bitmasks."""
@@ -100,20 +103,20 @@ def generates(space, gens):
 # -- binary subbase check ------------------------------------------------------
 
 
-def check_binary_subbase(poset, samples=None, seed=0, exhaustive_limit=5):
+def check_binary_subbase(poset, samples=None, seed=0):
     """Check the binary-subbase property of {V_p} u {-V_p}.
 
     Every subfamily with empty intersection must contain two members whose
     pairwise intersection is already empty.  Returns None when the property
     holds, else a violating subfamily as a list of (name, sign) pairs.
 
-    Subfamilies are scanned exhaustively for |P| <= exhaustive_limit and
+    Subfamilies are scanned exhaustively for |P| <= EXHAUSTIVE_LIMIT and
     sampled (seeded) otherwise; ``samples`` forces sampling with that count.
     """
     space = StoneSpace(poset)
     family = [(name, "+", v_set(space, i)) for i, name in enumerate(poset.names)]
     family += [(name, "-", space.full ^ mask) for name, _, mask in family]
-    exhaustive = samples is None and poset.n <= exhaustive_limit
+    exhaustive = samples is None and poset.n <= EXHAUSTIVE_LIMIT
     count = samples if samples is not None else 10000
     sub = _scan_subfamilies([mask for _, _, mask in family], space.full, count, seed, exhaustive)
     if sub is None:

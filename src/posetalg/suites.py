@@ -19,7 +19,7 @@ from itertools import combinations, product
 from . import algebra, corpus, lattice, morphisms, stone, wqo
 from .errors import PremiseFailed, SizeLimit
 from .poset import (
-    DEFAULT_MAX_ELEMENTS,
+    MAX_ELEMENTS,
     antichain,
     chain,
     iter_bits,
@@ -27,6 +27,9 @@ from .poset import (
     rado_prefix,
     random_poset,
 )
+
+# seeded random posets of each size past the exhaustive corpus
+RANDOM_PER_SIZE = 20
 
 
 @dataclass
@@ -36,7 +39,6 @@ class SuiteConfig:
     seed: int = 42
     horizon: int = 12
     strict: bool = False
-    random_per_size: int = 20
 
 
 class Witness(Exception):
@@ -98,13 +100,13 @@ class _Recorder:
 
 def _corpus_for(config):
     """Exhaustive corpus up to five elements; seeded random posets beyond."""
-    if config.max_size > DEFAULT_MAX_ELEMENTS:
+    if config.max_size > MAX_ELEMENTS:
         # fail before building the random posets of every smaller size
-        raise SizeLimit(f"corpus posets of {config.max_size} > {DEFAULT_MAX_ELEMENTS} elements")
+        raise SizeLimit(f"corpus posets of {config.max_size} > {MAX_ELEMENTS} elements")
     out = [(f"n{p.n}#{i}", p) for i, p in enumerate(corpus.corpus_posets(min(config.max_size, 5)))]
     rng = random.Random(config.seed)
     for size in range(6, config.max_size + 1):
-        for k in range(config.random_per_size):
+        for k in range(RANDOM_PER_SIZE):
             p = random_poset(size, rng.choice((0.2, 0.35, 0.5)), rng.randrange(1 << 30))
             out.append((f"n{size}r{k}", p))
     return out
@@ -413,7 +415,7 @@ def suite_emap(config):
     include_unit = not config.strict
     for (ln, left), (rn, right) in [(a, b) for a in _emap_bases() for b in _emap_bases()]:
         with rec.case(f"{ln}x{rn}", cases=0, count_as="cases") as case:
-            em = morphisms.e_map(left, right)
+            em = morphisms.EMap(left, right)
             space = stone.StoneSpace(em.prod)
             lp = lattice.enumerate_l(left, include_unit=include_unit)
             lq = lattice.enumerate_l(right, include_unit=include_unit)
@@ -602,7 +604,7 @@ def suite_h_construction(config):
 # -- 11. the universal property --------------------------------------------------------------
 
 
-def _random_monotone_map(rng, poset, target_space):
+def _random_monotone_assignment(rng, poset, target_space):
     """Seeded order-preserving assignment into the clopen algebra of a space."""
     size = len(target_space.points)
     univ = (1 << size) - 1
@@ -628,7 +630,7 @@ def suite_hom_laws(config):
             tgt_poset = random_poset(n_tgt, rng.choice((0.0, 0.5)), rng.randrange(1 << 30))
             tgt_space = stone.StoneSpace(tgt_poset)
             target = morphisms.MaskAlgebraTarget(len(tgt_space.points))
-            images = _random_monotone_map(rng, source, tgt_space)
+            images = _random_monotone_assignment(rng, source, tgt_space)
             hom = morphisms.extend_hom(source, target, images)
 
             # generators map to their assigned images

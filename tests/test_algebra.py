@@ -583,7 +583,7 @@ def test_building_elements_leaves_no_garbage_cycle():
         p = random_poset(6, 0.3, seed=4)
         exprs.to_elem(p, exprs.parse("x(0) & !x(1) | (x(2) | !(x(3) & x(5)))"))
         algebra.elementary_product(p, 0b000101, 0b110000)
-        for e in lattice.enumerate_l(p, max_term_size=2)[:50]:
+        for e in lattice.enumerate_l(p)[:50]:
             e.to_elem()
         del p, e
         assert gc.collect() == 0

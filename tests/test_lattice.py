@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_max_antichain_size
 from posetalg import algebra, corpus, lattice, stone
-from posetalg.errors import PosetMismatch
+from posetalg.errors import ClosureOverflow, PosetMismatch
 from posetalg.poset import Poset, antichain, chain, rado_prefix, random_poset
 
 
@@ -179,17 +179,6 @@ def test_enumeration_counts_antichain5():
     assert len(lattice.enumerate_l(a5)) == 7580
 
 
-def test_strata_increase_and_exhaust():
-    for p in corpus.corpus_posets(4):
-        full = {str(e) for e in lattice.enumerate_l(p)}
-        prev = set()
-        for k in range(p.n + 1):
-            level = {str(e) for e in lattice.enumerate_l(p, max_term_size=k)}
-            assert prev <= level
-            prev = level
-        assert prev == full
-
-
 def test_elements_distinct_under_oracle():
     for p in corpus.corpus_posets(4):
         space = stone.StoneSpace(p)
@@ -215,6 +204,15 @@ def test_lattice_closure_v3(v3):
 def test_lattice_closure_singleton(v3):
     e = algebra.gen(v3, "a")
     assert len(lattice.lattice_closure(v3, [e])) == 1
+
+
+def test_lattice_closure_overflow_at_the_cap(monkeypatch):
+    a3 = antichain(3)
+    gens = [algebra.gen(a3, i) for i in range(3)]
+    assert len(lattice.lattice_closure(a3, gens)) == 18  # free distributive on 3
+    monkeypatch.setattr(lattice, "LATTICE_CLOSURE_CAP", 10)
+    with pytest.raises(ClosureOverflow):
+        lattice.lattice_closure(a3, gens)
 
 
 def test_lattice_closure_chain_collapses():

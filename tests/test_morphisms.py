@@ -101,7 +101,7 @@ def test_apply_on_partial_supports():
     tgt_poset = corpus.v3()
     tgt_space = stone.StoneSpace(tgt_poset)
     for source in corpus.corpus_posets(4):
-        masks = suites._random_monotone_map(rng, source, tgt_space)
+        masks = suites._random_monotone_assignment(rng, source, tgt_space)
         homs = [
             (morphisms.extend_hom(source, morphisms.MaskAlgebraTarget(len(tgt_space.points)),
                                   masks), operator.eq),
@@ -309,7 +309,7 @@ def test_chain_epimorphism_collapses_meet_and_join():
 
 def test_e_map_generator_equation():
     for left, right in ((chain(1), chain(1)), (chain(2), antichain(2))):
-        em = morphisms.e_map(left, right)
+        em = morphisms.EMap(left, right)
         for p in range(left.n):
             for q in range(right.n):
                 got = em.apply(algebra.gen(left, p), algebra.gen(right, q))
@@ -318,7 +318,7 @@ def test_e_map_generator_equation():
 
 def test_e_map_join_in_first_argument():
     a2, c1 = antichain(2), chain(1)
-    em = morphisms.e_map(a2, c1)
+    em = morphisms.EMap(a2, c1)
     a = algebra.join(algebra.gen(a2, 0), algebra.gen(a2, 1))
     got = em.apply(a, algebra.gen(c1, 0))
     want = algebra.join(em.pair_gen(0, 0), em.pair_gen(1, 0))
@@ -327,7 +327,7 @@ def test_e_map_join_in_first_argument():
 
 def test_e_map_monotone_small(v3):
     c2 = chain(2)
-    em = morphisms.e_map(c2, v3)
+    em = morphisms.EMap(c2, v3)
     lp = lattice.enumerate_l(c2)
     lq = lattice.enumerate_l(v3)
     for b in lq:
@@ -341,15 +341,15 @@ def test_e_map_monotone_small(v3):
 
 
 def test_e_map_size_cap():
-    from posetalg.errors import EnumerationOverflow
+    from posetalg.errors import SizeLimit
 
-    with pytest.raises(EnumerationOverflow):
-        morphisms.e_map(chain(4), chain(4), max_elements=9)
+    with pytest.raises(SizeLimit):
+        morphisms.EMap(chain(12), chain(11))  # 132 > MAX_ELEMENTS
 
 
 def test_e_map_accepts_lattice_elems():
     a2 = antichain(2)
-    em = morphisms.e_map(a2, a2)
+    em = morphisms.EMap(a2, a2)
     le = lattice.l_elem(a2, [["0"], ["1"]])
     out = em.apply(le, le)
     assert lattice.from_algebra_elem(out, lattice.enumerate_pi(em.prod)) is not None

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_final_segments, brute_initial_segments
-from posetalg import corpus
+from posetalg import corpus, lattice, morphisms
 from posetalg.errors import (
     CycleError,
     DuplicateName,
@@ -15,6 +15,7 @@ from posetalg.errors import (
     UnknownElement,
 )
 from posetalg.poset import (
+    MAX_ELEMENTS,
     Poset,
     antichain,
     build_poset,
@@ -176,22 +177,59 @@ def test_product_order():
 
 def test_size_limit():
     with pytest.raises(SizeLimit):
-        rado_prefix(20, max_elements=100)
+        rado_prefix(20)
     with pytest.raises(SizeLimit):
-        product(chain(20), chain(20), max_elements=100)
+        product(chain(20), chain(20))
 
 
-def test_enumeration_caps():
+def _factors(n):
+    """(a, b) with a * b == n: 128 = 8 * 16 and 129 = 3 * 43."""
+    a = 8 if n % 8 == 0 else 3
+    return a, n // a
+
+
+# name -> builder of a poset with n elements
+AT_SIZE = {
+    "product": lambda n: product(*map(chain, _factors(n)))[0],
+    "lex_sum": lambda n: lex_sum(chain(2), [antichain(n // 2), antichain(n - n // 2)]),
+    "disjoint_sum": lambda n: disjoint_sum([chain(n - 1), chain(1)]),
+    "random_poset": lambda n: random_poset(n, 0.05, seed=1),
+    "EMap": lambda n: morphisms.EMap(*map(chain, _factors(n))).prod,
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_SIZE))
+def test_element_cap_boundary(name):
+    build = AT_SIZE[name]
+    assert build(MAX_ELEMENTS).n == MAX_ELEMENTS
+    with pytest.raises(SizeLimit):
+        build(MAX_ELEMENTS + 1)
+
+
+def test_rado_prefix_and_lex_layering_at_the_element_cap(monkeypatch):
+    assert rado_prefix(15).n == 120
+    with pytest.raises(SizeLimit):
+        rado_prefix(16)  # 136 elements
+    # over the cap, lex_layering_check raises before it lists any lattice
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated past the element cap")
+
+    monkeypatch.setattr(lattice, "enumerate_l", no_enumeration)
+    with pytest.raises(SizeLimit):
+        morphisms.lex_layering_check(chain(2), [antichain(64), antichain(65)])
+
+
+def test_enumeration_caps(monkeypatch):
     from posetalg.errors import EnumerationOverflow
 
     with pytest.raises(EnumerationOverflow):
         antichain(21).initial_segments()  # 2**21 down-sets, past MAX_SEGMENTS
-    from posetalg import lattice
 
     comp = [1 << i for i in range(12)]  # 12 items, each comparable only to itself
-    with pytest.raises(EnumerationOverflow):
-        lattice._antichains(comp, max_count=50)
     assert len(lattice._antichains(comp)) == 4096
+    monkeypatch.setattr(lattice, "ANTICHAIN_CAP", 50)
+    with pytest.raises(EnumerationOverflow):
+        lattice._antichains(comp)
 
 
 def test_linear_augmentation_extends_order():

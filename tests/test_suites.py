@@ -106,11 +106,11 @@ def test_pinned_reports():
 
 
 def test_corpus_scaling_beyond_five():
-    config = suites.SuiteConfig(max_size=6, samples=40, seed=42, random_per_size=3)
+    config = suites.SuiteConfig(max_size=6, samples=40, seed=42)
     posets = suites._corpus_for(config)
     sizes = sorted({p.n for _, p in posets})
     assert sizes == [1, 2, 3, 4, 5, 6]
-    assert sum(1 for _, p in posets if p.n == 6) == 3
+    assert sum(1 for _, p in posets if p.n == 6) == suites.RANDOM_PER_SIZE == 20
 
 
 def brute_first_mismatch(elems, pis, dens):
