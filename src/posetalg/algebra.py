@@ -284,19 +284,16 @@ class ElementaryProduct:
 
 
 def is_zero_syntactic(poset, sigma, tau):
-    """Order-only zero test for an elementary product: some p in sigma lies
-    below some q in tau."""
-    s = sigma if isinstance(sigma, int) else poset.mask(sigma)
-    t = tau if isinstance(tau, int) else poset.mask(tau)
-    return bool(poset.upset(s) & t)
+    """Order-only zero test for the elementary product of masks sigma and
+    tau: some p in sigma lies below some q in tau."""
+    return bool(poset.upset(sigma) & tau)
 
 
 def elementary_product(poset, sigma, tau):
-    s = sigma if isinstance(sigma, int) else poset.mask(sigma)
-    t = tau if isinstance(tau, int) else poset.mask(tau)
-    support = s | t
+    """x_sigma & -x_tau for masks sigma and tau."""
+    support = sigma | tau
     count, cols, full = _columns(poset, support)
-    return AlgebraElem(poset, support, _product_truth(cols, full, s, t), None, count, cols)
+    return AlgebraElem(poset, support, _product_truth(cols, full, sigma, tau), None, count, cols)
 
 
 def product_elem(poset, sigma):

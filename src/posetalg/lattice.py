@@ -27,8 +27,8 @@ LATTICE_CLOSURE_CAP = 1 << 14
 
 
 def canonical_sigma(poset, sigma):
-    m = sigma if isinstance(sigma, int) else poset.mask(sigma)
-    return poset.minimals(m)
+    """The antichain of a sigma mask: its minimal elements."""
+    return poset.minimals(sigma)
 
 
 def pi_leq_masks(poset, s, t):
@@ -131,17 +131,14 @@ class LatticeElem:
 
 
 def l_elem(poset, terms):
-    """Lattice element from an iterable of ProductTerms / masks / name sets."""
+    """Lattice element from an iterable of ProductTerms and sigma masks."""
     sigmas = []
     for t in terms:
         if isinstance(t, ProductTerm):
             if t.poset is not poset:
                 raise PosetMismatch("term over a different poset")
-            sigmas.append(t.sigma)
-        elif isinstance(t, int):
-            sigmas.append(canonical_sigma(poset, t))
-        else:
-            sigmas.append(canonical_sigma(poset, poset.mask(t)))
+            t = t.sigma
+        sigmas.append(t)
     return LatticeElem(poset, sigmas)
 
 

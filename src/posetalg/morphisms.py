@@ -161,15 +161,10 @@ class Hom:
 def extend_hom(source, target, gen_image):
     """Extension of an order-preserving generator assignment.
 
-    ``gen_image`` maps source names/ids to target elements (dict or list).
-    Raises NotOrderPreserving with a witnessing pair otherwise.
+    ``gen_image[p]`` is the target element of source id p.  Raises
+    NotOrderPreserving with a witnessing pair otherwise.
     """
-    if isinstance(gen_image, dict):
-        images = [None] * source.n
-        for key, val in gen_image.items():
-            images[source.id(key)] = val
-    else:
-        images = list(gen_image)
+    images = list(gen_image)
     for p in range(source.n):
         for q in iter_bits(source.up[p] & ~(1 << p)):
             if not target.leq(images[p], images[q]):
@@ -183,15 +178,10 @@ def extend_hom(source, target, gen_image):
 def subposet_embedding(sub, ambient, inclusion):
     """Embedding of the algebra over ``sub`` into the one over ``ambient``.
 
-    ``inclusion`` maps sub names/ids to ambient names/ids and must be an
-    order embedding (comparabilities agree in both directions).
+    ``inclusion[a]`` is the ambient id of sub id a; it must be an order
+    embedding (comparabilities agree in both directions).
     """
-    if isinstance(inclusion, dict):
-        incl = [None] * sub.n
-        for key, val in inclusion.items():
-            incl[sub.id(key)] = ambient.id(val)
-    else:
-        incl = [ambient.id(v) for v in inclusion]
+    incl = list(inclusion)
     if len(set(incl)) != sub.n:
         raise NotAnEmbedding("inclusion not injective")
     for a in range(sub.n):
@@ -201,9 +191,7 @@ def subposet_embedding(sub, ambient, inclusion):
                     f"comparability of {sub.names[a]!r},{sub.names[b]!r} not preserved"
                 )
     target = PosetAlgebraTarget(ambient)
-    hom = extend_hom(sub, target, [algebra.gen(ambient, incl[a]) for a in range(sub.n)])
-    hom.inclusion = incl
-    return hom
+    return extend_hom(sub, target, [algebra.gen(ambient, incl[a]) for a in range(sub.n)])
 
 
 # -- relativization --------------------------------------------------------------
@@ -289,34 +277,18 @@ class EMap:
         return hom
 
     def apply(self, a, b):
-        if isinstance(a, lattice.LatticeElem):
-            a = a.to_elem()
-        if isinstance(b, lattice.LatticeElem):
-            b = b.to_elem()
         return self.row_hom(a).apply(b)
 
 
 # -- product generation ------------------------------------------------------------
 
 
-def product_generation_check(left, right, gens_left, gens_right):
-    """Do the pairwise map images of two generating families generate the
-    product algebra?  Raises PremiseFailed unless each family generates its
-    own algebra."""
-
-    def as_elems(poset, gens):
-        out = []
-        for g in gens:
-            if isinstance(g, lattice.LatticeElem):
-                out.append(g.to_elem())
-            elif isinstance(g, int):
-                out.append(algebra.product_elem(poset, g))
-            else:
-                out.append(g)
-        return out
-
-    gens_left = as_elems(left, gens_left)
-    gens_right = as_elems(right, gens_right)
+def product_generation_check(left, right, sigmas_left, sigmas_right):
+    """Do the pairwise map images of two families of products x_sigma, given
+    by their sigma masks, generate the product algebra?  Raises PremiseFailed
+    unless each family generates its own algebra."""
+    gens_left = [algebra.product_elem(left, s) for s in sigmas_left]
+    gens_right = [algebra.product_elem(right, s) for s in sigmas_right]
     for poset, gens, side in ((left, gens_left, "left"), (right, gens_right, "right")):
         space = stone.StoneSpace(poset)
         if not stone.generates(space, [stone.denote_elem(space, g) for g in gens]):

@@ -172,9 +172,6 @@ class Poset:
     def n(self):
         return len(self.names)
 
-    def __len__(self):
-        return len(self.names)
-
     def __repr__(self):
         return f"Poset({list(self.names)!r}, pairs={len(self.cover_pairs())})"
 
@@ -210,17 +207,16 @@ class Poset:
         i, j = self.id(p), self.id(q)
         return not (self.up[i] >> j & 1) and not (self.up[j] >> i & 1)
 
-    def upset(self, elems):
-        """Final segment generated by a set of elements (mask or iterable)."""
-        m = elems if isinstance(elems, int) else self.mask(elems)
+    def upset(self, mask):
+        """Final segment generated by a mask of elements."""
         out = 0
-        for i in iter_bits(m):
+        for i in iter_bits(mask):
             out |= self.up[i]
         return out
 
     def minimals(self, sub=None):
-        """Minimal members of a subset (default: of the whole poset)."""
-        m = self.full if sub is None else (sub if isinstance(sub, int) else self.mask(sub))
+        """Minimal members of a mask (default: of the whole poset)."""
+        m = self.full if sub is None else sub
         out = 0
         for i in iter_bits(m):
             if self.down[i] & m == 1 << i:
@@ -228,21 +224,12 @@ class Poset:
         return out
 
     def maximals(self, sub=None):
-        m = self.full if sub is None else (sub if isinstance(sub, int) else self.mask(sub))
+        m = self.full if sub is None else sub
         out = 0
         for i in iter_bits(m):
             if self.up[i] & m == 1 << i:
                 out |= 1 << i
         return out
-
-    def is_antichain(self, mask):
-        for i in iter_bits(mask):
-            if self.up[i] & mask != 1 << i:
-                return False
-        return True
-
-    def is_up_closed(self, mask):
-        return self.upset(mask) == mask
 
     def linear_extension(self):
         """Element ids ordered so that strictly smaller down-sets come first."""
@@ -320,23 +307,12 @@ class Poset:
         return out
 
     def to_dot(self, name="poset"):
-        lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
-        for label in self.names:
-            lines.append(f'  "{label}";')
-        for i, j in self.cover_pairs():
-            lines.append(f'  "{self.names[i]}" -> "{self.names[j]}";')
+        ids = [_dot_id(label) for label in self.names]
+        lines = [f"digraph {_dot_id(name)} {{", "  rankdir=BT;"]
+        lines += [f"  {label};" for label in ids]
+        lines += [f"  {ids[i]} -> {ids[j]};" for i, j in self.cover_pairs()]
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self, name="poset"):
-        return {
-            "name": name,
-            "elements": list(self.names),
-            "le": [[self.names[i], self.names[j]] for i, j in self.cover_pairs()],
-        }
-
-    def dual(self):
-        return Poset(self.names, self.down)
 
     def induced(self, support):
         """Subposet on a mask; returns (Q, list mapping Q-ids to P-ids)."""
@@ -349,6 +325,11 @@ class Poset:
                 row |= 1 << pos[q]
             rows.append(row)
         return Poset([self.names[p] for p in ids], rows), ids
+
+
+def _dot_id(text):
+    """``text`` as a quoted DOT ID, with its backslashes and quotes escaped."""
+    return '"%s"' % str(text).replace("\\", "\\\\").replace('"', '\\"')
 
 
 # -- construction ------------------------------------------------------------
@@ -413,10 +394,6 @@ def parse_json_dict(data):
     return elements, [tuple(p) for p in le]
 
 
-def from_json_dict(data):
-    return build_poset(*parse_json_dict(data))
-
-
 def chain(n):
     names = [str(i) for i in range(n)]
     return build_poset(names, [(str(i), str(i + 1)) for i in range(n - 1)])
@@ -454,10 +431,6 @@ def lex_sum(index, parts):
                 row |= ((1 << parts[zeta].n) - 1) << zoff
             rows[off + p] = row
     return Poset(names, rows)
-
-
-def disjoint_sum(parts):
-    return lex_sum(antichain(len(parts)), parts)
 
 
 def product(p, q):

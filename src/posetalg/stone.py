@@ -11,11 +11,13 @@ from __future__ import annotations
 import random
 
 from . import algebra
-from .errors import ClosureOverflow, PosetMismatch
+from .errors import PosetMismatch
 from .poset import chain, iter_bits
 
-# posets up to this size get every subfamily scanned by check_binary_subbase
-EXHAUSTIVE_LIMIT = 5
+# check_binary_subbase scans every subfamily of a poset up to this size, and
+# draws this many seeded subfamilies of a larger one
+EXHAUSTIVE_LIMIT = 4
+SAMPLES = 10000
 
 
 class StoneSpace:
@@ -26,9 +28,6 @@ class StoneSpace:
     def __init__(self, poset):
         self.poset = poset
         self.points = poset.final_segment_masks()
-
-    def __len__(self):
-        return len(self.points)
 
     @property
     def full(self):
@@ -103,22 +102,21 @@ def generates(space, gens):
 # -- binary subbase check ------------------------------------------------------
 
 
-def check_binary_subbase(poset, samples=None, seed=0):
+def check_binary_subbase(poset, seed=0):
     """Check the binary-subbase property of {V_p} u {-V_p}.
 
     Every subfamily with empty intersection must contain two members whose
     pairwise intersection is already empty.  Returns None when the property
     holds, else a violating subfamily as a list of (name, sign) pairs.
 
-    Subfamilies are scanned exhaustively for |P| <= EXHAUSTIVE_LIMIT and
-    sampled (seeded) otherwise; ``samples`` forces sampling with that count.
+    Subfamilies are scanned exhaustively for |P| <= EXHAUSTIVE_LIMIT;
+    otherwise ``SAMPLES`` of them are drawn from ``seed``.
     """
     space = StoneSpace(poset)
     family = [(name, "+", v_set(space, i)) for i, name in enumerate(poset.names)]
     family += [(name, "-", space.full ^ mask) for name, _, mask in family]
-    exhaustive = samples is None and poset.n <= EXHAUSTIVE_LIMIT
-    count = samples if samples is not None else 10000
-    sub = _scan_subfamilies([mask for _, _, mask in family], space.full, count, seed, exhaustive)
+    exhaustive = poset.n <= EXHAUSTIVE_LIMIT
+    sub = _scan_subfamilies([mask for _, _, mask in family], space.full, SAMPLES, seed, exhaustive)
     if sub is None:
         return None
     return [(family[k][0], family[k][1]) for k in iter_bits(sub)]
@@ -178,18 +176,13 @@ def interval_algebra_check(linear):
     order-preserving generator correspondence pairs the k-th generator with
     the ray at the k-th largest non-minimum element: x_k -> [n-1-k, ->).
     Returns True when that correspondence extends to a bijective
-    homomorphism onto the ray algebra.
-
-    ``linear`` is a chain poset or its length.
+    homomorphism onto the ray algebra of the chain ``linear``.
     """
-    if isinstance(linear, int):
-        n = linear
-    else:
-        n = linear.n
-        for i in range(n):
-            for j in range(n):
-                if linear.incomparable(i, j):
-                    raise PosetMismatch("interval algebra needs a chain")
+    n = linear.n
+    for i in range(n):
+        for j in range(n):
+            if linear.incomparable(i, j):
+                raise PosetMismatch("interval algebra needs a chain")
     if n < 1:
         raise PosetMismatch("interval algebra needs a nonempty chain")
     universe = (1 << n) - 1
@@ -224,12 +217,7 @@ def interval_algebra_check(linear):
     if total != universe:
         return False
 
-    images = set()
-    for m in range(1 << len(space.points)):
-        img = 0
-        for k in iter_bits(m):
-            img |= atom_img[k]
-        images.add(img)
+    images = {denote_and_map(space, atom_img, m) for m in range(1 << len(space.points))}
     if len(images) != 1 << len(space.points):
         return False  # not injective
     if images != ray_algebra:
@@ -246,11 +234,3 @@ def denote_and_map(space, atom_img, clopen):
     for k in iter_bits(clopen):
         out |= atom_img[k]
     return out
-
-
-def enumerate_algebra(space):
-    """All elements of the algebra as clopen masks (2**points of them)."""
-    count = len(space.points)
-    if count > 20:
-        raise ClosureOverflow(f"2**{count} elements is too many to enumerate")
-    return range(1 << count)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import BadArity, ParseError, UnknownElement
-from .poset import _is_name, from_json_dict, rado_prefix
+from .poset import _is_name, build_poset, parse_json_dict, rado_prefix
 
 
 class Front:
@@ -25,9 +25,6 @@ class Front:
         self.k = k
         self.horizon = horizon
         self.blocks = [tuple(c) for c in combinations(range(horizon), k)]
-
-    def __len__(self):
-        return len(self.blocks)
 
     def precedes(self, s, t):
         """s precedes t: s minus min(s) is an initial segment of t.
@@ -109,7 +106,7 @@ def labeling_from_json(data):
     {"generator": "rado-identity", "N": …}.
 
     The labels name elements of the Rado prefix on N, or of an optional
-    ``"poset"`` object in the shape of ``poset.from_json_dict``.  A label is
+    ``"poset"`` object in the shape of ``poset.parse_json_dict``.  A label is
     read as a name, as ``build_poset`` reads the elements, so the label 1 is
     the element '1'.  A malformed poset, a ``"labels"`` value that is not an
     object, a key that is not comma-separated integers or a label that is not
@@ -133,7 +130,7 @@ def labeling_from_json(data):
         blocks = blocks * (horizon - i) // (i + 1)
     if blocks > len(labels):
         raise UnknownElement(f"fewer labels than the C({horizon}, {k}) blocks of the front")
-    poset = from_json_dict(data["poset"]) if "poset" in data else rado_prefix(horizon)
+    poset = build_poset(*parse_json_dict(data["poset"])) if "poset" in data else rado_prefix(horizon)
     fr = Front(k, horizon)
     label = {}
     for key, value in labels.items():

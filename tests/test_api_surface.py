@@ -1,16 +1,21 @@
-"""Size caps are module constants, never per-call parameters."""
+"""Size caps are module constants, never per-call parameters, and library
+calls take ids and masks, not names."""
 
 import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import posetalg
+from posetalg import algebra, corpus, lattice
 
 CAP_PARAMETERS = {
     "max_elements", "max_count", "max_size", "max_term_size", "cap", "exhaustive_limit",
+    "samples",
 }
-# SuiteConfig.max_size carries the CLI's --max-size option
-ALLOWED = {("suites", "SuiteConfig", "max_size")}
+# SuiteConfig.max_size and .samples carry the CLI's --max-size and --samples
+ALLOWED = {("suites", "SuiteConfig", "max_size"), ("suites", "SuiteConfig", "samples")}
 
 
 def _public_callables():
@@ -43,3 +48,20 @@ def test_no_public_function_takes_a_cap_parameter():
         ]
     assert found == []
     assert {"poset", "algebra", "lattice", "morphisms", "stone", "corpus", "suites"} <= walked
+
+
+NAME_LISTS = {
+    "Poset.upset": lambda p: p.upset(["a"]),
+    "Poset.minimals": lambda p: p.minimals(["a", "c"]),
+    "Poset.maximals": lambda p: p.maximals(["a", "c"]),
+    "lattice.canonical_sigma": lambda p: lattice.canonical_sigma(p, ["a", "c"]),
+    "algebra.is_zero_syntactic": lambda p: algebra.is_zero_syntactic(p, ["a"], ["c"]),
+    "algebra.elementary_product": lambda p: algebra.elementary_product(p, ["a"], ["c"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAME_LISTS))
+def test_mask_functions_reject_name_lists(name):
+    # names are resolved by Poset.id and Poset.mask, never inside these calls
+    with pytest.raises(TypeError):
+        NAME_LISTS[name](corpus.v3())

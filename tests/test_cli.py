@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -102,6 +103,35 @@ def test_poset_export_dot(runner, v3_file, tmp_path):
     result = runner.invoke(main, ["poset", "export-dot", v3_file, "--out", str(out)])
     assert result.exit_code == 0
     assert out.read_text().count("->") == 2
+
+
+# a quoted DOT ID: any character but a quote or backslash, or an escaped pair
+DOT_ID = r'"(?:[^"\\]|\\.)*"'
+
+
+def _dot_name(quoted):
+    return re.sub(r"\\(.)", r"\1", quoted[1:-1])
+
+
+def test_export_dot_escapes_quotes_and_backslashes(runner, tmp_path):
+    names = ['a"b', "c\\", 'd\\"e']
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"name": 'g"x', "elements": names,
+                                "le": [['a"b', "c\\"], ["c\\", 'd\\"e']]}))
+    result = runner.invoke(main, ["poset", "export-dot", str(path)])
+    assert result.exit_code == 0
+    header, rankdir, *body, close = result.output.splitlines()
+    head = re.fullmatch(f"digraph ({DOT_ID}) {{", header)
+    assert head and _dot_name(head.group(1)) == 'g"x'
+    assert (rankdir, close) == ("  rankdir=BT;", "}")
+    nodes = [re.fullmatch(f"  ({DOT_ID});", line) for line in body[:3]]
+    assert all(nodes), body
+    assert [_dot_name(m.group(1)) for m in nodes] == names
+    edges = [re.fullmatch(f"  ({DOT_ID}) -> ({DOT_ID});", line) for line in body[3:]]
+    assert all(edges), body
+    assert [(_dot_name(m.group(1)), _dot_name(m.group(2))) for m in edges] == [
+        ('a"b', "c\\"), ("c\\", 'd\\"e')
+    ]
 
 
 def test_alg_eq_true(runner, v3_file):

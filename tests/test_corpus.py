@@ -75,7 +75,7 @@ def power_set_upsets(p, support):
         sorted(
             sum(1 << ids[k] for k in range(sub.n) if m >> k & 1)
             for m in range(1 << sub.n)
-            if sub.is_up_closed(m)
+            if sub.upset(m) == m
         )
     )
 

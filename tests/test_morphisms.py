@@ -43,7 +43,7 @@ def test_collapse_to_one():
 def test_not_order_preserving_rejected(v3):
     c2 = chain(2)
     target = morphisms.PosetAlgebraTarget(c2)
-    images = {"a": algebra.gen(c2, 1), "b": algebra.gen(c2, 1), "c": algebra.gen(c2, 0)}
+    images = [algebra.gen(c2, 1), algebra.gen(c2, 1), algebra.gen(c2, 0)]  # a, b, c
     with pytest.raises(NotOrderPreserving) as err:
         morphisms.extend_hom(v3, target, images)
     assert err.value.witness in ((("a"), ("c")), (("b"), ("c")))
@@ -54,7 +54,7 @@ def test_hom_laws_exhaustive_small(v3):
     target = morphisms.PosetAlgebraTarget(c2)
     hom = morphisms.extend_hom(
         v3, target,
-        {"a": algebra.gen(c2, 0), "b": algebra.gen(c2, 0), "c": algebra.gen(c2, 1)},
+        [algebra.gen(c2, 0), algebra.gen(c2, 0), algebra.gen(c2, 1)],  # a, b, c
     )
     space, elems = all_elems(v3)
     for e in elems:
@@ -83,7 +83,7 @@ def test_atom_images_partition_target(v3):
     target = morphisms.PosetAlgebraTarget(c2)
     hom = morphisms.extend_hom(
         v3, target,
-        {"a": algebra.gen(c2, 0), "b": algebra.gen(c2, 1), "c": algebra.one(c2)},
+        [algebra.gen(c2, 0), algebra.gen(c2, 1), algebra.one(c2)],  # a, b, c
     )
     atoms = hom.atom_image()
     union = algebra.zero(c2)
@@ -166,7 +166,7 @@ def test_corrupt_image_table_fails_suite_records(monkeypatch, suite, failures, f
 
 def test_embedding_antichain_into_v3(v3):
     q = antichain(2)
-    hom = morphisms.subposet_embedding(q, v3, {"0": "a", "1": "b"})
+    hom = morphisms.subposet_embedding(q, v3, [v3.id("a"), v3.id("b")])
     space, elems = all_elems(q)
     assert len(elems) == 16
     images = [algebra.canonical_key(hom.apply(e)) for e in elems]
@@ -182,7 +182,7 @@ def test_embedding_identity(v3):
 
 def test_embedding_comparable_pair(v3):
     q = chain(2)
-    hom = morphisms.subposet_embedding(q, v3, {"0": "a", "1": "c"})
+    hom = morphisms.subposet_embedding(q, v3, [v3.id("a"), v3.id("c")])
     _, elems = all_elems(q)
     images = [algebra.canonical_key(hom.apply(e)) for e in elems]
     assert len(set(images)) == len(elems)
@@ -192,7 +192,7 @@ def test_embedding_comparable_pair(v3):
 
 def test_embedding_maps_lattice_into_lattice(v3):
     q = antichain(2)
-    hom = morphisms.subposet_embedding(q, v3, {"0": "a", "1": "b"})
+    hom = morphisms.subposet_embedding(q, v3, [v3.id("a"), v3.id("b")])
     pis = lattice.enumerate_pi(v3)
     for le in lattice.enumerate_l(q):
         image = hom.apply(le.to_elem())
@@ -201,9 +201,9 @@ def test_embedding_maps_lattice_into_lattice(v3):
 
 def test_not_an_embedding(v3):
     with pytest.raises(NotAnEmbedding):
-        morphisms.subposet_embedding(antichain(2), v3, {"0": "a", "1": "c"})
+        morphisms.subposet_embedding(antichain(2), v3, [v3.id("a"), v3.id("c")])
     with pytest.raises(NotAnEmbedding):
-        morphisms.subposet_embedding(antichain(2), v3, {"0": "a", "1": "a"})
+        morphisms.subposet_embedding(antichain(2), v3, [v3.id("a"), v3.id("a")])
 
 
 # -- relativization ---------------------------------------------------------------------------
@@ -350,7 +350,7 @@ def test_e_map_size_cap():
 def test_e_map_accepts_lattice_elems():
     a2 = antichain(2)
     em = morphisms.EMap(a2, a2)
-    le = lattice.l_elem(a2, [["0"], ["1"]])
+    le = lattice.l_elem(a2, [a2.mask(["0"]), a2.mask(["1"])]).to_elem()
     out = em.apply(le, le)
     assert lattice.from_algebra_elem(out, lattice.enumerate_pi(em.prod)) is not None
 
@@ -368,7 +368,7 @@ def test_product_generation_true():
 def test_product_generation_premise():
     c2 = chain(2)
     with pytest.raises(PremiseFailed):
-        morphisms.product_generation_check(c2, c2, [algebra.one(c2)], [algebra.one(c2)])
+        morphisms.product_generation_check(c2, c2, [0], [0])  # the unit alone
 
 
 # -- lexicographic layering --------------------------------------------------------------------------

