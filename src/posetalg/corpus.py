@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .poset import Poset, build_poset
+from .poset import Poset, build_poset, transitive_closure
 
 
 def _relabel_tables(n):
@@ -52,12 +52,7 @@ def all_posets(n):
         for k, (i, j) in enumerate(pairs):
             if mask >> k & 1:
                 rows[i] |= 1 << j
-        for k in range(n):
-            rk = rows[k]
-            for i in range(n):
-                if rows[i] >> k & 1:
-                    rows[i] |= rk
-        closure = tuple(rows)
+        closure = tuple(transitive_closure(rows))
         if closure in closures:
             continue
         closures.add(closure)

@@ -44,53 +44,37 @@ def tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+# binary operators by level, loosest first; past them, a negation or an atom
+_BINARY = (("|", "or"), ("&", "and"))
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+def _parse(tokens, i, level=0):
+    """(tree, index of the next token) of the expression at ``tokens[i]``.
 
-    def parse_or(self):
-        node = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            node = ("or", node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_not()
-        while self.peek() == "&":
-            self.take()
-            node = ("and", node, self.parse_not())
-        return node
-
-    def parse_not(self):
-        if self.peek() == "!":
-            self.take()
-            return ("not", self.parse_not())
-        return self.parse_atom()
-
-    def parse_atom(self):
-        tok = self.take()
-        if tok == "(":
-            node = self.parse_or()
-            if self.take() != ")":
-                raise ParseError("expected ')'")
-            return node
-        if tok == "0":
-            return ("const", False)
-        if tok == "1":
-            return ("const", True)
-        if isinstance(tok, tuple) and tok[0] == "var":
-            return tok
-        raise ParseError(f"unexpected token {tok!r}")
+    ``tokens`` ends in None.  Each binary level folds its operands in a loop,
+    so a left-deep chain of one operator parses without recursion.
+    """
+    if level < len(_BINARY):
+        op, kind = _BINARY[level]
+        node, i = _parse(tokens, i, level + 1)
+        while tokens[i] == op:
+            right, i = _parse(tokens, i + 1, level + 1)
+            node = (kind, node, right)
+        return node, i
+    tok = tokens[i]
+    if tok == "!":
+        node, i = _parse(tokens, i + 1, level)
+        return ("not", node), i
+    if tok == "(":
+        node, i = _parse(tokens, i + 1)
+        if tokens[i] != ")":
+            raise ParseError("expected ')'")
+        return node, i + 1
+    if tok in ("0", "1"):
+        return ("const", tok == "1"), i + 1
+    if isinstance(tok, tuple) and tok[0] == "var":
+        return tok, i + 1
+    raise ParseError(f"unexpected token {tok!r}")
 
 
 def parse(text):
@@ -98,13 +82,13 @@ def parse(text):
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    parser = _Parser(tokens)
+    tokens.append(None)
     try:
-        node = parser.parse_or()
+        node, i = _parse(tokens, 0)
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input from token {parser.peek()!r}")
+    if tokens[i] is not None:
+        raise ParseError(f"trailing input from token {tokens[i]!r}")
     return node
 
 

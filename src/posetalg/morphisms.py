@@ -9,13 +9,15 @@ the extension sends the element to the join of the images of the products
 at its true traces, read from one image table per support.  The module
 builds the extension, subposet embeddings, relativizations to a generator,
 the collapse onto a linear augmentation, the two-variable product map,
-lexicographic layering checks, and the block decomposition of a directed
-poset along a cofinal chain.
+lexicographic layering checks, the block decomposition of a directed
+poset along a cofinal chain, and the isomorphism of a finite chain's ray
+algebra with the algebra of the chain minus its minimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import algebra, lattice, stone
 from .errors import (
@@ -25,8 +27,9 @@ from .errors import (
     NotOrderPreserving,
     PosetMismatch,
     PremiseFailed,
+    UnknownElement,
 )
-from .poset import Poset, iter_bits, lex_sum, product
+from .poset import Poset, chain, iter_bits, lex_sum, product
 
 
 class PosetAlgebraTarget:
@@ -152,9 +155,8 @@ class Hom:
         tgt = self.target
         atoms = self.atom_image()
         out = tgt.zero()
-        for k, seg in enumerate(self.space().points):
-            if e.eval_segment(seg):
-                out = tgt.join(out, atoms[k])
+        for k in iter_bits(stone.denote_elem(self.space(), e)):
+            out = tgt.join(out, atoms[k])
         return out
 
 
@@ -182,16 +184,19 @@ def subposet_embedding(sub, ambient, inclusion):
     embedding (comparabilities agree in both directions).
     """
     incl = list(inclusion)
+    # a name is no id: comparing it with an int raises TypeError
+    if not all(0 <= i < ambient.n for i in incl):
+        raise UnknownElement("inclusion id out of range")
     if len(set(incl)) != sub.n:
         raise NotAnEmbedding("inclusion not injective")
     for a in range(sub.n):
         for b in range(sub.n):
-            if sub.leq(a, b) != ambient.leq(incl[a], incl[b]):
+            if sub.up[a] >> b & 1 != ambient.up[incl[a]] >> incl[b] & 1:
                 raise NotAnEmbedding(
                     f"comparability of {sub.names[a]!r},{sub.names[b]!r} not preserved"
                 )
-    target = PosetAlgebraTarget(ambient)
-    return extend_hom(sub, target, [algebra.gen(ambient, incl[a]) for a in range(sub.n)])
+    gens = [algebra.product_elem(ambient, 1 << i) for i in incl]
+    return extend_hom(sub, PosetAlgebraTarget(ambient), gens)
 
 
 # -- relativization --------------------------------------------------------------
@@ -290,13 +295,16 @@ def product_generation_check(left, right, sigmas_left, sigmas_right):
     gens_left = [algebra.product_elem(left, s) for s in sigmas_left]
     gens_right = [algebra.product_elem(right, s) for s in sigmas_right]
     for poset, gens, side in ((left, gens_left, "left"), (right, gens_right, "right")):
-        space = stone.StoneSpace(poset)
-        if not stone.generates(space, [stone.denote_elem(space, g) for g in gens]):
+        if not _generates(poset, gens):
             raise PremiseFailed(f"{side} family does not generate its algebra")
     emap = EMap(left, right)
-    images = [emap.apply(a, b) for a in gens_left for b in gens_right]
-    space = stone.StoneSpace(emap.prod)
-    return stone.generates(space, [stone.denote_elem(space, e) for e in images])
+    return _generates(emap.prod, [emap.apply(a, b) for a in gens_left for b in gens_right])
+
+
+def _generates(poset, elems):
+    """Do the elements generate the whole algebra over ``poset``?"""
+    space = stone.StoneSpace(poset)
+    return stone.generates(space, [stone.denote_elem(space, e) for e in elems])
 
 
 # -- lexicographic layering ----------------------------------------------------------
@@ -311,24 +319,15 @@ def lex_layering_check(index, parts):
     level.  Returns None when the layering holds, else a violation dict.
     """
     total = lex_sum(index, parts)
-    offsets = []
-    acc = 0
-    for part in parts:
-        offsets.append(acc)
-        acc += part.n
-
-    def embedded_lattice(xi):
-        part = parts[xi]
-        off = offsets[xi]
-        out = []
-        for le in lattice.enumerate_l(part, include_unit=False):
-            terms = [
-                sum(1 << (off + i) for i in iter_bits(sigma)) for sigma in le.terms
-            ]
-            out.append(lattice.LatticeElem(total, terms))
-        return out
-
-    lattices = [embedded_lattice(xi) for xi in range(index.n)]
+    # each part's lattice, its terms shifted to the part's ids in the sum
+    offsets = accumulate((part.n for part in parts), initial=0)
+    lattices = [
+        [
+            lattice.LatticeElem(total, [sigma << off for sigma in le.terms])
+            for le in lattice.enumerate_l(part, include_unit=False)
+        ]
+        for part, off in zip(parts, offsets)
+    ]
     for xi in range(index.n):
         for zeta in iter_bits(index.up[xi] & ~(1 << xi)):
             for g in lattices[xi]:
@@ -357,11 +356,10 @@ class HConstructionResult:
 
 
 def is_directed(poset):
-    for i in range(poset.n):
-        for j in range(i + 1, poset.n):
-            if not poset.up[i] & poset.up[j]:
-                return False
-    return True
+    """Every pair has an upper bound.  In a finite poset every element lies
+    below a maximal one, so that holds iff there is at most one maximal
+    element."""
+    return poset.maximals().bit_count() <= 1
 
 
 def h_construction(poset, chain_elems):
@@ -414,9 +412,7 @@ def h_construction(poset, chain_elems):
                 if not algebra.leq(x_chain[n - 1], h_n):
                     layering = False
 
-    space = stone.StoneSpace(poset)
-    gens = [stone.denote_elem(space, e) for e in elems]
-    return HConstructionResult(elems, stone.generates(space, gens), layering, blocks)
+    return HConstructionResult(elems, _generates(poset, elems), layering, blocks)
 
 
 def maximal_chains_to_top(poset):
@@ -425,23 +421,58 @@ def maximal_chains_to_top(poset):
     Only defined for directed posets (which have a unique maximum)."""
     if poset.n == 0:
         return []
-    maxima = list(iter_bits(poset.maximals()))
-    if len(maxima) != 1:
+    if not is_directed(poset):
         raise NotDirected("no unique maximum")
-    top = maxima[0]
+    lower_covers = [[] for _ in range(poset.n)]
+    for low, high in poset.cover_pairs():
+        lower_covers[high].append(low)
     chains = []
 
     def walk(path):
-        head = path[0]
-        extended = False
-        for below in iter_bits(poset.down[head] & ~(1 << head)):
-            # only step to covers: nothing strictly between below and head
-            between = poset.up[below] & poset.down[head] & ~(1 << below) & ~(1 << head)
-            if not between:
-                extended = True
-                walk([below] + path)
-        if not extended:
+        for low in lower_covers[path[0]]:
+            walk([low] + path)
+        if not lower_covers[path[0]]:
             chains.append(path)
 
-    walk([top])
+    walk([poset.maximals().bit_length() - 1])
     return chains
+
+
+# -- interval algebra of a finite chain -------------------------------------------------
+
+
+def interval_algebra_check(linear):
+    """Compare the ray-generated subalgebra of a chain's power set with the
+    algebra of the chain minus its minimum.
+
+    The interval algebra of an n-element chain is generated by the left-closed
+    rays; the claim is a Boolean isomorphism with the poset algebra of the
+    (n-1)-element chain.  Rays shrink as their endpoints grow, so the
+    order-preserving generator correspondence pairs the k-th generator with
+    the ray at the k-th largest non-minimum element: x_k -> [n-1-k, ->).
+    Returns True when that correspondence extends (``extend_hom``) to a
+    bijective homomorphism onto the ray algebra of the chain ``linear``.
+    Nonzero, pairwise disjoint atom images make the extension injective, and
+    two partitions generate the same unions only if they are equal: so it is
+    onto the ray algebra iff its atoms go to the rays' signature blocks.
+    """
+    n = linear.n
+    if any(linear.up[i] | linear.down[i] != linear.full for i in range(n)):
+        raise PosetMismatch("interval algebra needs a chain")
+    if n < 1:
+        raise PosetMismatch("interval algebra needs a nonempty chain")
+    universe = (1 << n) - 1
+    rays = [universe & ~((1 << a) - 1) for a in range(n)]
+    rest = chain(n - 1)  # the chain minus its minimum
+    gen_ray = rays[:0:-1]  # x_k -> rays[n-1-k]
+    try:
+        hom = extend_hom(rest, MaskAlgebraTarget(n), gen_ray)
+    except NotOrderPreserving:
+        return False
+    atoms = hom.atom_image()
+    if stone.atom_partition_fault(atoms, universe):
+        return False
+    if set(atoms) != set(stone.signature_blocks(n, rays)):
+        return False
+    # generator images come out right under the atom decomposition
+    return all(hom.apply_via_atoms(algebra.gen(rest, k)) == r for k, r in enumerate(gen_ray))

@@ -209,6 +209,8 @@ class Poset:
 
     def upset(self, mask):
         """Final segment generated by a mask of elements."""
+        if not isinstance(mask, int):  # _check_mask inline: the suites call this hot
+            _check_mask(mask)
         out = 0
         for i in iter_bits(mask):
             out |= self.up[i]
@@ -216,7 +218,7 @@ class Poset:
 
     def minimals(self, sub=None):
         """Minimal members of a mask (default: of the whole poset)."""
-        m = self.full if sub is None else sub
+        m = self.full if sub is None else _check_mask(sub)
         out = 0
         for i in iter_bits(m):
             if self.down[i] & m == 1 << i:
@@ -224,7 +226,7 @@ class Poset:
         return out
 
     def maximals(self, sub=None):
-        m = self.full if sub is None else sub
+        m = self.full if sub is None else _check_mask(sub)
         out = 0
         for i in iter_bits(m):
             if self.up[i] & m == 1 << i:
@@ -327,6 +329,13 @@ class Poset:
         return Poset([self.names[p] for p in ids], rows), ids
 
 
+def _check_mask(mask):
+    """``mask``; TypeError if it is no int (a list of names, even empty)."""
+    if not isinstance(mask, int):
+        raise TypeError(f"expected a bitmask, got {type(mask).__name__}")
+    return mask
+
+
 def _dot_id(text):
     """``text`` as a quoted DOT ID, with its backslashes and quotes escaped."""
     return '"%s"' % str(text).replace("\\", "\\\\").replace('"', '\\"')
@@ -348,13 +357,19 @@ def _close_and_check(names, pairs):
             rows[ids[a]] |= 1 << ids[b]
         except KeyError as exc:
             raise UnknownElement(f"unknown element {exc.args[0]!r} in relation") from None
-    # Warshall on bitmask rows; Poset() reports a cycle
+    # Poset() reports a cycle
+    return Poset(names, transitive_closure(rows))
+
+
+def transitive_closure(rows):
+    """``rows``, closed transitively in place by Warshall's loop."""
+    n = len(rows)
     for k in range(n):
         rk = rows[k]
         for i in range(n):
             if rows[i] >> k & 1:
                 rows[i] |= rk
-    return Poset(names, rows)
+    return rows
 
 
 def build_poset(names, relations):

@@ -12,7 +12,7 @@ import random
 
 from . import algebra
 from .errors import PosetMismatch
-from .poset import chain, iter_bits
+from .poset import iter_bits
 
 # check_binary_subbase scans every subfamily of a poset up to this size, and
 # draws this many seeded subfamilies of a larger one
@@ -94,6 +94,23 @@ def signature_blocks(count, gens):
     return list(by_sig.values())
 
 
+def atom_partition_fault(atom_img, unit):
+    """Why y -> OR of atom_img over the bits of y is no isomorphism onto the
+    clopens below unit, or None.
+
+    That needs every atom image nonzero and the images pairwise disjoint
+    (then the map is injective), and their union equal to the unit.
+    """
+    union = 0
+    for img in atom_img:
+        if not img or img & union:
+            return "not injective"
+        union |= img
+    if union != unit:
+        return "unit mismatch"
+    return None
+
+
 def generates(space, gens):
     """True iff the clopens generate the full algebra of the space."""
     return len(signature_blocks(len(space.points), gens)) == len(space.points)
@@ -161,72 +178,6 @@ def _scan_subfamilies(sets, full, samples, seed, exhaustive):
         if is_violator(sub):
             return sub
     return None
-
-
-# -- interval algebra of a finite chain ----------------------------------------
-
-
-def interval_algebra_check(linear):
-    """Compare the ray-generated subalgebra of a chain's power set with the
-    algebra of the chain minus its minimum.
-
-    The interval algebra of an n-element chain is generated by the left-closed
-    rays; the claim is a Boolean isomorphism with the poset algebra of the
-    (n-1)-element chain.  Rays shrink as their endpoints grow, so the
-    order-preserving generator correspondence pairs the k-th generator with
-    the ray at the k-th largest non-minimum element: x_k -> [n-1-k, ->).
-    Returns True when that correspondence extends to a bijective
-    homomorphism onto the ray algebra of the chain ``linear``.
-    """
-    n = linear.n
-    for i in range(n):
-        for j in range(n):
-            if linear.incomparable(i, j):
-                raise PosetMismatch("interval algebra needs a chain")
-    if n < 1:
-        raise PosetMismatch("interval algebra needs a nonempty chain")
-    universe = (1 << n) - 1
-    rays = {a: universe & ~((1 << a) - 1) for a in range(n)}
-
-    # ray-generated subalgebra of the power set, via signature blocks
-    ray_algebra = {0}
-    for b in signature_blocks(n, [rays[a] for a in range(n)]):
-        ray_algebra |= {m | b for m in ray_algebra}
-
-    rest = chain(n - 1)  # the chain minus its minimum
-    space = StoneSpace(rest)
-    gen_ray = {k: rays[n - 1 - k] for k in range(rest.n)}
-    for a in range(rest.n):
-        for b in range(a + 1, rest.n):
-            if gen_ray[a] & ~gen_ray[b]:
-                return False  # correspondence not order-preserving
-    atom_img = []
-    for seg in space.points:
-        img = universe
-        for k in range(rest.n):
-            img &= gen_ray[k] if (seg >> k & 1) else (universe ^ gen_ray[k])
-        atom_img.append(img)
-
-    # pairwise disjoint atoms partitioning the universe make phi a homomorphism
-    total = 0
-    for i, a in enumerate(atom_img):
-        for b in atom_img[i + 1 :]:
-            if a & b:
-                return False
-        total |= a
-    if total != universe:
-        return False
-
-    images = {denote_and_map(space, atom_img, m) for m in range(1 << len(space.points))}
-    if len(images) != 1 << len(space.points):
-        return False  # not injective
-    if images != ray_algebra:
-        return False
-    # generator images come out right under the atom decomposition
-    for k in range(rest.n):
-        if denote_and_map(space, atom_img, v_set(space, k)) != gen_ray[k]:
-            return False
-    return True
 
 
 def denote_and_map(space, atom_img, clopen):

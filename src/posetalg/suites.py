@@ -541,7 +541,7 @@ def suite_relativize(config):
                 atom_img = [0] * m
                 for tr, k in zip(traces, inside):
                     atom_img[bisect_left(sub_space.points, tr)] |= 1 << k
-                reason = _atom_partition_fault(atom_img, vq)
+                reason = stone.atom_partition_fault(atom_img, vq)
                 if reason:
                     raise Witness({"q": poset.names[q], "reason": reason})
 
@@ -554,23 +554,6 @@ def suite_relativize(config):
                         raise Witness({"q": poset.names[q], "reason": "route mismatch",
                                        "y": y_mask})
     return rec, {}
-
-
-def _atom_partition_fault(atom_img, unit):
-    """Why y -> OR of atom_img over the bits of y is no isomorphism onto the
-    clopens below unit, or None.
-
-    That needs every atom image nonzero and the images pairwise disjoint
-    (then the map is injective), and their union equal to the unit.
-    """
-    union = 0
-    for img in atom_img:
-        if not img or img & union:
-            return "not injective"
-        union |= img
-    if union != unit:
-        return "unit mismatch"
-    return None
 
 
 def _sample_masks(rng, space_size, count):
@@ -700,7 +683,7 @@ def suite_interval_algebra(config):
     rec = _Recorder("interval-algebra")
     for n in range(1, 7):
         with rec.case(f"chain{n}", {"n": n}):
-            if not stone.interval_algebra_check(chain(n)):
+            if not morphisms.interval_algebra_check(chain(n)):
                 raise Witness({"isomorphic": False})
     return rec, {}
 

@@ -8,7 +8,7 @@ import pkgutil
 import pytest
 
 import posetalg
-from posetalg import algebra, corpus, lattice
+from posetalg import algebra, corpus, lattice, morphisms
 
 CAP_PARAMETERS = {
     "max_elements", "max_count", "max_size", "max_term_size", "cap", "exhaustive_limit",
@@ -57,6 +57,13 @@ NAME_LISTS = {
     "lattice.canonical_sigma": lambda p: lattice.canonical_sigma(p, ["a", "c"]),
     "algebra.is_zero_syntactic": lambda p: algebra.is_zero_syntactic(p, ["a"], ["c"]),
     "algebra.elementary_product": lambda p: algebra.elementary_product(p, ["a"], ["c"]),
+    "morphisms.subposet_embedding": lambda p: morphisms.subposet_embedding(p, p, ["a", "b", "c"]),
+    # an empty list of names is no more a mask than a full one
+    "Poset.upset([])": lambda p: p.upset([]),
+    "Poset.minimals([])": lambda p: p.minimals([]),
+    "Poset.maximals([])": lambda p: p.maximals([]),
+    "lattice.canonical_sigma([])": lambda p: lattice.canonical_sigma(p, []),
+    "algebra.is_zero_syntactic([])": lambda p: algebra.is_zero_syntactic(p, [], 0b100),
 }
 
 

@@ -12,6 +12,7 @@ from posetalg.errors import (
     NotDirected,
     NotOrderPreserving,
     PremiseFailed,
+    UnknownElement,
 )
 from posetalg.poset import antichain, chain, linear_augmentation
 
@@ -204,6 +205,10 @@ def test_not_an_embedding(v3):
         morphisms.subposet_embedding(antichain(2), v3, [v3.id("a"), v3.id("c")])
     with pytest.raises(NotAnEmbedding):
         morphisms.subposet_embedding(antichain(2), v3, [v3.id("a"), v3.id("a")])
+    # ids past either end are unknown, not wrapped
+    for bad in (3, -1):
+        with pytest.raises(UnknownElement):
+            morphisms.subposet_embedding(antichain(1), v3, [bad])
 
 
 # -- relativization ---------------------------------------------------------------------------
@@ -431,6 +436,40 @@ def test_maximal_chains_to_top(v3):
     assert morphisms.maximal_chains_to_top(chain(3)) == [[0, 1, 2]]
     with pytest.raises(NotDirected):
         morphisms.maximal_chains_to_top(antichain(2))
+
+
+def test_is_directed_matches_pairwise_definition():
+    for poset in corpus.corpus_posets(5) + corpus.directed_corpus(6):
+        pairwise = all(
+            poset.up[i] & poset.up[j] for i in range(poset.n) for j in range(poset.n)
+        )
+        assert morphisms.is_directed(poset) == pairwise
+    assert any(not morphisms.is_directed(p) for p in corpus.corpus_posets(5))
+    assert all(morphisms.is_directed(p) for p in corpus.directed_corpus(6))
+
+
+def test_maximal_chains_to_top_match_a_walk_by_betweenness():
+    def reference(poset):
+        chains = []
+
+        def walk(path):
+            head = path[0]
+            steps = [
+                b for b in range(poset.n)
+                if b != head and poset.leq(b, head)
+                and not any(c not in (b, head) and poset.leq(b, c) and poset.leq(c, head)
+                            for c in range(poset.n))
+            ]
+            for b in steps:
+                walk([b] + path)
+            if not steps:
+                chains.append(path)
+
+        walk([poset.maximals().bit_length() - 1])
+        return chains
+
+    for poset in corpus.directed_corpus(6):
+        assert morphisms.maximal_chains_to_top(poset) == reference(poset)
 
 
 def test_h_construction_directed_sample():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import brute_denote, brute_final_segments, subalgebra_closure
-from posetalg import algebra, corpus, exprs, stone
+from posetalg import algebra, corpus, exprs, morphisms, stone
 from posetalg.poset import antichain, chain, iter_bits, popcount
 
 from test_algebra import POSET_POOL, any_poset_expr, any_poset_two_exprs
@@ -241,23 +241,33 @@ def test_binary_subbase_draws_nothing_when_no_subfamily_violates(v3, monkeypatch
 
 def test_interval_algebra_chains():
     for n in range(1, 7):
-        assert stone.interval_algebra_check(chain(n))
+        assert morphisms.interval_algebra_check(chain(n))
 
 
 def test_interval_algebra_rejects_non_chains(v3):
     from posetalg.errors import PosetMismatch
 
     with pytest.raises(PosetMismatch):
-        stone.interval_algebra_check(v3)
+        morphisms.interval_algebra_check(v3)
     with pytest.raises(PosetMismatch):
-        stone.interval_algebra_check(chain(0))
+        morphisms.interval_algebra_check(chain(0))
 
 
 def test_interval_algebra_sizes():
     # the ray algebra of an n-chain is the full power set: 2**n elements,
     # matching the algebra of the (n-1)-chain, whose n points give 2**n clopens
     for n in (1, 3, 5):
+        rays = [((1 << n) - 1) & ~((1 << a) - 1) for a in range(n)]
+        assert len(stone.signature_blocks(n, rays)) == n
         assert len(stone.StoneSpace(chain(n - 1)).points) == n
+        assert morphisms.interval_algebra_check(chain(n))
+
+
+def test_atom_partition_fault():
+    assert stone.atom_partition_fault([0b001, 0b110], 0b111) is None
+    assert stone.atom_partition_fault([0b011, 0b110], 0b111) == "not injective"
+    assert stone.atom_partition_fault([0b001, 0, 0b110], 0b111) == "not injective"
+    assert stone.atom_partition_fault([0b001, 0b010], 0b111) == "unit mismatch"
 
 
 def test_clopen_json(v3):

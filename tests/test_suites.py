@@ -149,13 +149,6 @@ def test_l_leq_vs_oracle_reports_row_major_first_witness():
     assert found > 0
 
 
-def test_atom_partition_fault():
-    assert suites._atom_partition_fault([0b001, 0b110], 0b111) is None
-    assert suites._atom_partition_fault([0b011, 0b110], 0b111) == "not injective"
-    assert suites._atom_partition_fault([0b001, 0, 0b110], 0b111) == "not injective"
-    assert suites._atom_partition_fault([0b001, 0b010], 0b111) == "unit mismatch"
-
-
 def test_no_numpy_on_the_import_and_suite_path():
     src = os.path.dirname(os.path.dirname(suites.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
