@@ -7,12 +7,12 @@ up-closed T <= S is realized by the final segment generated by T, so the
 table determines the element exactly.  The table is an int whose bit k is
 the truth at ``traces[k]`` (the sorted up-sets of S).
 
-An element carries the number of its traces (``count``) and, once an op has
-needed them, the bit columns of its support (``cols``): ``Poset.columns(S)``
-gives, for each p in S, the bitmask of the traces of S that hold p.  The
-sorted list ``traces`` itself is built on first read, by ``eval_trace``,
-``support_reduce``/``canonical_key``, ``to_dnf`` or the image tables of
-``morphisms``; the kernel ops never read it.
+An element on S keeps S's one cache entry as ``entry`` (laid out at
+``Poset._entry``), shared by every element on S.  ``count`` is the number of
+traces, ``cols[p]`` the bitmask of the traces that hold p, and ``traces``
+the sorted list; a form not built yet is built into the entry on first
+read, under the cap.  The kernel ops read only count and columns; the list
+serves ``eval_trace``, ``support_reduce``, ``to_dnf`` and ``morphisms``.
 
 Elements built from generators evaluate on columns.  The table of x_p is the
 column of p, and a Boolean term over generators is evaluated in one pass on
@@ -58,47 +58,42 @@ def _check_cap(support):
         )
 
 
-def _traces(poset, support):
-    _check_cap(support)
-    return poset.upsets_of(support)
-
-
 class AlgebraElem:
-    """Immutable value; build via gen/zero/one and the Boolean operations.
+    """Immutable value: a support mask and a truth table over its traces.
 
-    ``AlgebraElem(poset, support, truth, traces)`` builds one from a table
-    over a given list of traces; the ops hand over ``count`` and ``cols``
-    instead, and the list is then built on first read of ``traces``.
+    The support's cache entry is read if the poset has one, else its columns
+    are built under ``SUPPORT_CAP``: an element sits above the cap only on a
+    support already enumerated, as ``stone.StoneSpace`` enumerates the full one.
     """
 
-    __slots__ = ("poset", "support", "truth", "count", "cols", "_trace_list", "_ckey")
+    __slots__ = ("poset", "support", "truth", "entry", "_ckey")
 
-    def __init__(self, poset, support, truth, traces=None, count=None, cols=None):
-        if count is None:
-            if traces is None:
-                count, cols, _ = _columns(poset, support)
-            else:
-                count = len(traces)
+    def __init__(self, poset, support, truth):
+        entry = poset._cache.get(support)
+        if entry is None:
+            _check_cap(support)
+            entry = poset._entry(support, False)
         self.poset = poset
         self.support = support
         self.truth = truth
-        self.count = count
-        self.cols = cols
-        self._trace_list = traces
+        self.entry = entry
         self._ckey = None
 
     @property
+    def count(self):
+        return self.entry[0]
+
+    @property
     def traces(self):
-        """The sorted up-sets of the support, listed on first read."""
-        if self._trace_list is None:
-            self._trace_list = _traces(self.poset, self.support)
-        return self._trace_list
+        return _form(self, 1)
+
+    @property
+    def cols(self):
+        return _form(self, 2)
 
     def eval_trace(self, trace):
         """Truth at a trace (an up-closed subset of the support)."""
-        traces = self._trace_list
-        if traces is None:
-            traces = self.traces
+        traces = self.entry[1] or _form(self, 1)
         k = bisect_left(traces, trace)
         if k == len(traces) or traces[k] != trace:
             raise UnknownElement(f"not a realizable trace: {trace:b}")
@@ -131,11 +126,11 @@ def _check_same_poset(e1, e2):
 
 
 def zero(poset):
-    return AlgebraElem(poset, 0, 0, None, 1, {})
+    return AlgebraElem(poset, 0, 0)
 
 
 def one(poset):
-    return AlgebraElem(poset, 0, 1, None, 1, {})
+    return AlgebraElem(poset, 0, 1)
 
 
 def gen(poset, p):
@@ -144,11 +139,10 @@ def gen(poset, p):
 
 
 def _columns(poset, support):
-    """(count, cols, full) of a support: ``Poset.columns``, size-checked,
-    and the all-ones table over its up-sets."""
+    """(cols, full): the size-checked ``Poset.columns`` and all-ones table of a support."""
     _check_cap(support)
     count, cols = poset.columns(support)
-    return count, cols, (1 << count) - 1
+    return cols, (1 << count) - 1
 
 
 def _product_truth(cols, full, pos, neg=0):
@@ -161,29 +155,31 @@ def _product_truth(cols, full, pos, neg=0):
     return truth
 
 
-def _union(e1, e2):
-    """(support, count, cols, traces) of the union support of e1 and e2.
+def _form(e, form):
+    """Form 1 (traces) or 2 (cols) of e's entry, filled in under the cap if missing."""
+    got = e.entry[form]
+    if got is None:
+        _check_cap(e.support)
+        got = e.poset.upsets_of(e.support) if form == 1 else e.poset.columns(e.support)[1]
+    return got
 
-    The cap is checked on the union first.  When an operand already sits on
-    the union, its count, columns and traces (None if unlisted) are reused;
-    otherwise the union's columns are fetched once."""
+
+def _union(e1, e2):
+    """(support, count, cols) of the union support of e1 and e2.
+
+    The cap is checked on the union first.  An operand already on the union
+    gives its entry; otherwise the union's columns are fetched once."""
     _check_same_poset(e1, e2)
     support = e1.support | e2.support
     _check_cap(support)
     on_union = e1 if e1.support == support else e2 if e2.support == support else None
     if on_union is None:
         count, cols = e1.poset.columns(support)
-        return support, count, cols, None
+        return support, count, cols
+    entry = on_union.entry
     # with both on the union nothing is lifted, so the columns may stay unread
-    cols = on_union.cols if e1.support == e2.support else _cols(on_union)
-    return support, on_union.count, cols, on_union._trace_list
-
-
-def _cols(e):
-    """e's columns; an element built from a trace list fetches them on first use."""
-    if e.cols is None:
-        e.cols = e.poset.columns(e.support)[1]
-    return e.cols
+    cols = entry[2] if e1.support == e2.support else _form(on_union, 2)
+    return support, entry[0], cols
 
 
 def _lift(e, support, ucols, full):
@@ -192,8 +188,8 @@ def _lift(e, support, ucols, full):
     if e.support == support:
         return e.truth
     limit = _LIFT_MEMO_BITS // full.bit_length()
-    ctx = (_cols(e), ucols, e.poset.up, e.poset.down, full, {}, limit)
-    return _shannon(e.support, e.truth, e.count, 0, ctx)
+    ctx = (_form(e, 2), ucols, e.poset.up, e.poset.down, full, {}, limit)
+    return _shannon(e.support, e.truth, e.entry[0], 0, ctx)
 
 
 def _shannon(s, part, width, offset, ctx):
@@ -226,10 +222,10 @@ def _shannon(s, part, width, offset, ctx):
 
 
 def _combine(e1, e2, op):
-    support, count, cols, traces = _union(e1, e2)
+    support, count, cols = _union(e1, e2)
     full = (1 << count) - 1
     truth = op(_lift(e1, support, cols, full), _lift(e2, support, cols, full))
-    return AlgebraElem(e1.poset, support, truth, traces, count, cols)
+    return AlgebraElem(e1.poset, support, truth)
 
 
 def meet(e1, e2):
@@ -242,7 +238,7 @@ def join(e1, e2):
 
 def complement(e):
     full = (1 << e.count) - 1
-    return AlgebraElem(e.poset, e.support, e.truth ^ full, e._trace_list, e.count, e.cols)
+    return AlgebraElem(e.poset, e.support, e.truth ^ full)
 
 
 def is_zero(e):
@@ -257,7 +253,7 @@ def equals(e1, e2):
     _check_same_poset(e1, e2)
     if e1.support == e2.support:
         return e1.truth == e2.truth
-    support, count, cols, _ = _union(e1, e2)
+    support, count, cols = _union(e1, e2)
     full = (1 << count) - 1
     return _lift(e1, support, cols, full) == _lift(e2, support, cols, full)
 
@@ -292,8 +288,8 @@ def is_zero_syntactic(poset, sigma, tau):
 def elementary_product(poset, sigma, tau):
     """x_sigma & -x_tau for masks sigma and tau."""
     support = sigma | tau
-    count, cols, full = _columns(poset, support)
-    return AlgebraElem(poset, support, _product_truth(cols, full, sigma, tau), None, count, cols)
+    cols, full = _columns(poset, support)
+    return AlgebraElem(poset, support, _product_truth(cols, full, sigma, tau))
 
 
 def product_elem(poset, sigma):
@@ -306,11 +302,11 @@ def join_products(poset, sigmas):
     evaluated in one pass on the columns of their union support."""
     sigmas = list(sigmas)
     support = reduce(or_, sigmas, 0)
-    count, cols, full = _columns(poset, support)
+    cols, full = _columns(poset, support)
     truth = 0
     for s in sigmas:
         truth |= _product_truth(cols, full, s)
-    return AlgebraElem(poset, support, truth, None, count, cols)
+    return AlgebraElem(poset, support, truth)
 
 
 def support_reduce(e):
@@ -335,10 +331,11 @@ def support_reduce(e):
         bit_at = {t & ~bit: b for t, b in bit_at.items()}
         support ^= bit
     if support == e.support:
-        return AlgebraElem(e.poset, support, e.truth, e.traces, e.count, e.cols)
-    traces = _traces(e.poset, support)
+        return AlgebraElem(e.poset, support, e.truth)
+    _check_cap(support)
+    traces = e.poset.upsets_of(support)
     truth = int("".join([bit_at[t] for t in reversed(traces)]), 2)
-    return AlgebraElem(e.poset, support, truth, traces)
+    return AlgebraElem(e.poset, support, truth)
 
 
 def canonical_key(e):
@@ -364,11 +361,3 @@ def dnf_str(products, poset):
         return "0"
     return " + ".join(pr.render(poset) for pr in products)
 
-
-def from_clopen(poset, segments, mask):
-    """Element with full support from a set of final segments.
-
-    ``segments`` must be the sorted tuple of all final segment masks of the
-    poset; ``mask`` selects which of them the element is true at.
-    """
-    return AlgebraElem(poset, poset.full, mask, segments)

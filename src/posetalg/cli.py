@@ -109,7 +109,7 @@ def poset_show(file, as_json):
             "covers": [[p.names[i], p.names[j]] for i, j in p.cover_pairs()],
             "minimals": sorted(p.names_of(p.minimals())),
             "maximals": sorted(p.names_of(p.maximals())),
-            "finalSegments": len(_checked(p.final_segment_masks, human=not as_json)),
+            "finalSegments": _checked(p.columns, p.full, human=not as_json)[0],
         },
         not as_json,
     )

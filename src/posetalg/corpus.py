@@ -73,10 +73,8 @@ def corpus_posets(largest):
 
 def with_top(poset):
     """Adjoin a new maximum element, named 'top'."""
-    names = list(poset.names) + ["top"]
-    pairs = [(poset.names[i], poset.names[j]) for i, j in poset.cover_pairs()]
-    pairs.extend((name, "top") for name in poset.names)
-    return build_poset(names, pairs)
+    top = 1 << poset.n
+    return Poset([*poset.names, "top"], [row | top for row in poset.up] + [top])
 
 
 def directed_corpus(largest):

@@ -101,11 +101,11 @@ def to_elem(poset, node):
     evaluate raises ParseError."""
     try:
         support = _support(poset, node)
-        count, cols, full = algebra._columns(poset, support)
+        cols, full = algebra._columns(poset, support)
         truth = _eval(poset, cols, full, node)
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
-    return algebra.AlgebraElem(poset, support, truth, None, count, cols)
+    return algebra.AlgebraElem(poset, support, truth)
 
 
 def _support(poset, node):

@@ -427,14 +427,14 @@ def maximal_chains_to_top(poset):
     for low, high in poset.cover_pairs():
         lower_covers[high].append(low)
     chains = []
-
-    def walk(path):
-        for low in lower_covers[path[0]]:
-            walk([low] + path)
-        if not lower_covers[path[0]]:
+    # depth first; lower covers are pushed in reverse, so the first is walked first
+    stack = [[poset.maximals().bit_length() - 1]]
+    while stack:
+        path = stack.pop()
+        lows = lower_covers[path[0]]
+        stack.extend([low] + path for low in reversed(lows))
+        if not lows:
             chains.append(path)
-
-    walk([poset.maximals().bit_length() - 1])
     return chains
 
 

@@ -410,12 +410,11 @@ def parse_json_dict(data):
 
 
 def chain(n):
-    names = [str(i) for i in range(n)]
-    return build_poset(names, [(str(i), str(i + 1)) for i in range(n - 1)])
+    return Poset([str(i) for i in range(n)], [(1 << n) - (1 << i) for i in range(n)])
 
 
 def antichain(n):
-    return build_poset([str(i) for i in range(n)], [])
+    return Poset([str(i) for i in range(n)], [1 << i for i in range(n)])
 
 
 def lex_sum(index, parts):
@@ -516,8 +515,7 @@ def linear_augmentation(p, seed=0):
         pick = mins[rng.randrange(len(mins))] if len(mins) > 1 else mins[0]
         order.append(pick)
         remaining &= ~(1 << pick)
-    names = [p.names[i] for i in order]
-    c = build_poset(names, [(names[k], names[k + 1]) for k in range(len(names) - 1)])
+    c = Poset([p.names[i] for i in order], [(1 << p.n) - (1 << k) for k in range(p.n)])
     mapping = [0] * p.n
     for pos, i in enumerate(order):
         mapping[i] = pos

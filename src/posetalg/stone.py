@@ -73,7 +73,7 @@ def denote_expr(space, node):
 
 def elem_from_clopen(space, mask):
     """Algebra element (full support) whose denotation is the given clopen."""
-    return algebra.from_clopen(space.poset, space.points, mask)
+    return algebra.AlgebraElem(space.poset, space.poset.full, mask)
 
 
 # -- subalgebra generation ----------------------------------------------------
@@ -180,7 +180,7 @@ def _scan_subfamilies(sets, full, samples, seed, exhaustive):
     return None
 
 
-def denote_and_map(space, atom_img, clopen):
+def denote_and_map(atom_img, clopen):
     out = 0
     for k in iter_bits(clopen):
         out |= atom_img[k]

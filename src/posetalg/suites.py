@@ -550,7 +550,7 @@ def suite_relativize(config):
                     case.cases += 1
                     y = stone.elem_from_clopen(sub_space, y_mask)
                     den = stone.denote_elem(space, rel.apply(y))
-                    if den != stone.denote_and_map(sub_space, atom_img, y_mask):
+                    if den != stone.denote_and_map(atom_img, y_mask):
                         raise Witness({"q": poset.names[q], "reason": "route mismatch",
                                        "y": y_mask})
     return rec, {}

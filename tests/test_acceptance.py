@@ -5,11 +5,33 @@ tolerance (zero disagreements unless noted) and within its wall-clock
 budget.  Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import hashlib
+import json
 import time
 
 from posetalg import suites
+from test_suites import strip_elapsed
 
 CONFIG = suites.SuiteConfig(max_size=5, samples=1000, seed=42, horizon=12)
+
+# sha256 of each suite's report at CONFIG (pal verify's defaults), as JSON
+# with the timing fields removed: a refactor must leave every report as it is
+REPORT_DIGESTS = {
+    "fact24": "37b3cfe8cca1c572abc0fe8d9fbfb38d078f8684b490edf6e28d6bb7cf2b307e",
+    "pi-order": "34a57af8226cd6733943a118fa7a5be85c10013f4b32d09d0ff1eb14f49e79e9",
+    "join-prime": "0a5a7eeea5e03d27b2d2c22872911ec7802361bd953d58ec8eb925a81a53768e",
+    "is-pi-iso": "cf3dc341a7360b75c0cf867c13ce9a247f2edc4700959ae4a3fa41264e3959a9",
+    "chain-lattice": "04b4522f17c2707154ea955c543910b4f644092a28643096754bc9a3a4cb7520",
+    "rado": "ca2fb66f22ebb0b219bfa19f64d258af76ffe742f1a60dbf1931962eba80bd97",
+    "emap": "bfba863b6838a31b71fcc05d4d1a041c2b9c6b25b7cb2d637a247568e1c34f4d",
+    "product-gen": "c35d1dabf12e4be479cdb1cdb511700c18596aad742da08308ecd60c7723b037",
+    "relativize": "b7251c3635f1d40d63743566f500f2b5f83ec16209858de47a8a0f533914a4ec",
+    "hom-laws": "1a2271f5ea2762a9bf21a7815dfc18f933fd79ef2740c1c7b94b1bf01b4e19f0",
+    "h-construction": "f1da42570788d0e4dd4890e2fb7148f03f18a5f4bb062b4ade7377b99dec5c66",
+    "binary-subbase": "53ffbc655927bee5a7aae49e918dd35b3209e0d2fe18a3bc084e57f4118c2fae",
+    "interval-algebra": "bcc393c3d08a4d5b0421773a0fbf256bf3b26d858120725ae54ba4eaa2146d87",
+    "lex-layering": "fd0a81125d82f80520b5b033a9a355473721f2b1877bbea946a16791dc0ba2fc",
+}
 
 
 def _run(number, suite, budget_s, config=CONFIG):
@@ -24,6 +46,8 @@ def _run(number, suite, budget_s, config=CONFIG):
     )
     assert report["failures"] == 0, report.get("firstCounterexample")
     assert elapsed <= budget_s, f"budget exceeded: {elapsed:.2f}s > {budget_s}s"
+    digest = hashlib.sha256(json.dumps(strip_elapsed(report)).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[suite], f"{suite} report changed"
     return report
 
 

@@ -200,7 +200,7 @@ def _check_ops_against_pointwise(p, e, f, rng):
         assert (got.support, got.count, got.truth) == (union, count, want)
     assert algebra.equals(e, f) == (le == lf)
     # e restated on the union is equal to e; with one trace flipped it is not
-    same = algebra.AlgebraElem(p, union, le, p.upsets_of(union))
+    same = algebra.AlgebraElem(p, union, le)
     assert algebra.equals(e, same) and algebra.equals(same, e)
     other = algebra.AlgebraElem(p, union, le ^ 1 << rng.randrange(count))
     assert not algebra.equals(e, other) and not algebra.equals(other, e)
@@ -215,7 +215,7 @@ def test_ops_match_pointwise_lift_on_corpus():
                 # one operand built on columns, one from its trace list
                 e = algebra.AlgebraElem(p, s, rng.getrandbits(p.columns(s)[0]))
                 traces = p.upsets_of(t)
-                f = algebra.AlgebraElem(p, t, rng.getrandbits(len(traces)), traces)
+                f = algebra.AlgebraElem(p, t, rng.getrandbits(len(traces)))
                 _check_ops_against_pointwise(p, e, f, rng)
                 pairs += 1
     assert pairs == 1 * 4 + 2 * 16 + 5 * 64 + 16 * 256  # posets times support pairs, n = 1..4
@@ -467,7 +467,7 @@ def test_support_reduce_does_not_depend_on_removal_order():
                 (clopen >> points.index(p.upset(u)) & 1) << k
                 for k, u in enumerate(p.upsets_of(support))
             )
-            e = algebra.from_clopen(p, points, clopen)
+            e = algebra.AlgebraElem(p, p.full, clopen)
             r = algebra.support_reduce(e)
             assert (r.support, r.truth) == (support, truth)
             assert algebra.canonical_key(e) == (support, truth)
@@ -481,7 +481,7 @@ def test_support_reduce_does_not_depend_on_removal_order():
                 table = sum(
                     (clopen >> points.index(p.upset(u)) & 1) << k for k, u in enumerate(traces)
                 )
-                key = algebra.canonical_key(algebra.AlgebraElem(p, wider, table, traces))
+                key = algebra.canonical_key(algebra.AlgebraElem(p, wider, table))
                 assert key == (support, truth)
 
 

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from posetalg import algebra, exprs
 from posetalg.cli import main
-from posetalg.poset import build_poset
+from posetalg.poset import Poset, build_poset
 
 
 @pytest.fixture
@@ -93,6 +93,16 @@ def test_poset_show(runner, v3_file):
     out = json.loads(result.output)
     assert out["minimals"] == ["a", "b"] and out["maximals"] == ["c"]
     assert out["finalSegments"] == 5
+
+
+def test_poset_show_counts_final_segments_without_listing_them(runner, v3_file, monkeypatch):
+    def no_listing(self, support):
+        raise AssertionError("upsets_of called by poset show")
+
+    monkeypatch.setattr(Poset, "upsets_of", no_listing)
+    result = runner.invoke(main, ["poset", "show", v3_file])
+    assert result.exit_code == 0, result.exc_info
+    assert json.loads(result.output)["finalSegments"] == 5
 
 
 def test_poset_export_dot(runner, v3_file, tmp_path):

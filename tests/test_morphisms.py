@@ -1,6 +1,7 @@
 import json
 import operator
 import random
+import sys
 
 import pytest
 
@@ -113,7 +114,7 @@ def test_apply_on_partial_supports():
         for _ in range(8):
             support = rng.randrange(1 << source.n)
             traces = source.upsets_of(support)
-            e = algebra.AlgebraElem(source, support, rng.randrange(1 << len(traces)), traces)
+            e = algebra.AlgebraElem(source, support, rng.randrange(1 << len(traces)))
             reduced = algebra.support_reduce(e)
             for hom, same in homs:
                 image = hom.apply(e)
@@ -470,6 +471,12 @@ def test_maximal_chains_to_top_match_a_walk_by_betweenness():
 
     for poset in corpus.directed_corpus(6):
         assert morphisms.maximal_chains_to_top(poset) == reference(poset)
+
+
+def test_maximal_chains_to_top_chain_taller_than_recursion_limit():
+    n = 1100
+    assert n > sys.getrecursionlimit()
+    assert morphisms.maximal_chains_to_top(chain(n)) == [list(range(n))]
 
 
 def test_h_construction_directed_sample():
