@@ -16,7 +16,7 @@ from collections import deque
 
 from . import algebra
 from .errors import ClosureOverflow, EnumerationOverflow, PosetMismatch
-from .poset import iter_bits, popcount
+from .poset import iter_bits, popcount, transpose
 
 # the fixed size caps: antichains one enumeration lists, elements one closure holds
 ANTICHAIN_CAP = 1 << 20
@@ -232,7 +232,7 @@ def enumerate_l(poset, include_unit=True):
     """
     pis = enumerate_pi(poset, include_unit=include_unit)
     less = _strict_less_rows(term_segments(poset, pis))
-    comp = [a | b for a, b in zip(less, _transpose(less))]
+    comp = [a | b for a, b in zip(less, transpose(less, len(less)))]
     return [
         LatticeElem(poset, frozenset(pis[i] for i in iter_bits(mask)), _canonical=True)
         for mask in _antichains(comp)[1:]
@@ -342,15 +342,6 @@ def _strict_less_rows(masks):
     for i, m in enumerate(masks):
         same[m] = same.get(m, 0) | 1 << i
     return [row ^ same[m] for row, m in zip(_subset_rows(masks, masks), masks)]
-
-
-def _transpose(rows):
-    """Rows of the converse relation: bit i of out[j] iff bit j of rows[i]."""
-    out = [0] * len(rows)
-    for i, row in enumerate(rows):
-        for j in iter_bits(row):
-            out[j] |= 1 << i
-    return out
 
 
 def _hopcroft_karp(rows):

@@ -41,6 +41,25 @@ def popcount(mask):
     return mask.bit_count()
 
 
+# rows that transpose formats into one string, so its temporaries stay about
+# this many times ``width`` characters however many rows there are
+_TRANSPOSE_BLOCK = 4096
+
+
+def transpose(rows, width):
+    """Columns of a bit matrix: bit i of out[j] is set iff bit j of rows[i]
+    is, for j < width.  Each block of rows is joined, last row first, as
+    ``width``-wide binary strings, so column j is one stride slice of it."""
+    out = [0] * width
+    keep, fmt = (1 << width) - 1, f"0{width}b"
+    for start in range(0, len(rows), _TRANSPOSE_BLOCK):
+        block = rows[start:start + _TRANSPOSE_BLOCK]
+        big = "".join([format(row & keep, fmt) for row in reversed(block)])
+        for c in range(width):
+            out[width - 1 - c] |= int(big[c::width], 2) << start
+    return out
+
+
 def _split(poset, support, listing):
     """(count, traces, cols) of the up-sets of ``support``: ``traces`` when
     ``listing``, else ``cols``; the other form is None.

@@ -3,7 +3,10 @@
 The space of all final segments (up-closed subsets) of a finite poset is the
 Stone space of its algebra; a generator denotes the clopen set of segments
 containing its element.  Clopens are bitmasks over the point list, so every
-symbolic decision can be cross-checked set-theoretically.
+symbolic decision can be cross-checked set-theoretically.  The generator
+clopens are one ``transpose`` of the point list, kept on the space and never
+read from ``Poset.columns``, so a fault in the algebra's column build cannot
+reach the oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import random
 
 from . import algebra
 from .errors import PosetMismatch
-from .poset import iter_bits
+from .poset import iter_bits, transpose
 
 # check_binary_subbase scans every subfamily of a poset up to this size, and
 # draws this many seeded subfamilies of a larger one
@@ -23,25 +26,21 @@ SAMPLES = 10000
 class StoneSpace:
     """All final segments of a poset, sorted ascending as bitmasks."""
 
-    __slots__ = ("poset", "points")
+    __slots__ = ("poset", "points", "full", "v_sets")
 
     def __init__(self, poset):
         self.poset = poset
         self.points = poset.final_segment_masks()
-
-    @property
-    def full(self):
-        return (1 << len(self.points)) - 1
+        self.full = (1 << len(self.points)) - 1
+        self.v_sets = None
 
 
 def v_set(space, p):
-    """Clopen denotation of a generator: segments containing p."""
+    """Clopen denotation of a generator, by name or id: segments containing p."""
     i = space.poset.id(p)
-    mask = 0
-    for k, seg in enumerate(space.points):
-        if seg >> i & 1:
-            mask |= 1 << k
-    return mask
+    if space.v_sets is None:
+        space.v_sets = transpose(space.points, space.poset.n)
+    return space.v_sets[i]
 
 
 def denote_elem(space, e):
@@ -84,13 +83,12 @@ def signature_blocks(count, gens):
     generators.
 
     The subalgebra generated by ``gens`` is exactly the set of unions of
-    these blocks, so it has size 2**len(blocks).
+    these blocks, so it has size 2**len(blocks).  Blocks come in the order of
+    their lowest points.
     """
     by_sig = {}
-    for k in range(count):
-        sig = tuple((g >> k) & 1 for g in gens)
-        by_sig.setdefault(sig, 0)
-        by_sig[sig] |= 1 << k
+    for k, sig in enumerate(transpose(gens, count)):
+        by_sig[sig] = by_sig.get(sig, 0) | 1 << k
     return list(by_sig.values())
 
 

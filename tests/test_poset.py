@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from posetalg.errors import (
     UnknownElement,
 )
 from posetalg.poset import (
+    _TRANSPOSE_BLOCK,
     MAX_ELEMENTS,
     Poset,
     antichain,
@@ -27,6 +29,7 @@ from posetalg.poset import (
     product,
     rado_prefix,
     random_poset,
+    transpose,
 )
 
 
@@ -358,3 +361,21 @@ def test_upsets_of_chain_taller_than_recursion_limit():
     count, cols = falling.columns(falling.full)
     assert count == n + 1
     assert all(cols[p] == ((1 << (n + 1)) - 1) & ~((1 << (p + 1)) - 1) for p in range(n))
+
+
+def test_transpose_matches_definition():
+    """Against the double loop, on row counts either side of a block; bits
+    at or above ``width`` are ignored, and a second transpose gives the
+    rows back."""
+    rng = random.Random(17)
+    for width in (0, 1, 7, 64, 130):
+        for count in (0, 1, _TRANSPOSE_BLOCK - 1, _TRANSPOSE_BLOCK, _TRANSPOSE_BLOCK + 1):
+            rows = [rng.getrandbits(width + 3) for _ in range(count)]
+            expected = [0] * width
+            for i, row in enumerate(rows):
+                for j in range(width):
+                    if row >> j & 1:
+                        expected[j] |= 1 << i
+            cols = transpose(rows, width)
+            assert cols == expected, (width, count)
+            assert transpose(cols, count) == [row & ((1 << width) - 1) for row in rows]

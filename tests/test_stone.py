@@ -6,7 +6,16 @@ from hypothesis import given, settings
 
 from conftest import brute_denote, brute_final_segments, subalgebra_closure
 from posetalg import algebra, corpus, exprs, morphisms, stone
-from posetalg.poset import antichain, chain, iter_bits, popcount
+from posetalg.errors import UnknownElement
+from posetalg.poset import (
+    Poset,
+    antichain,
+    chain,
+    iter_bits,
+    popcount,
+    rado_prefix,
+    random_poset,
+)
 
 from test_algebra import POSET_POOL, any_poset_expr, any_poset_two_exprs
 
@@ -34,6 +43,72 @@ def test_v_set_frozen(v3):
         v3.mask(["b", "c"]),
         v3.mask(["a", "b", "c"]),
     }
+
+
+def _point_scan(space, i):
+    """V_i by one pass over the points: the reference for ``v_set``."""
+    mask = 0
+    for k, seg in enumerate(space.points):
+        if seg >> i & 1:
+            mask |= 1 << k
+    return mask
+
+
+def test_v_set_matches_point_scan():
+    # antichain(13) has 8,192 points, more than one transpose block
+    posets = corpus.corpus_posets(5) + [
+        rado_prefix(6), random_poset(20, 0.1, 101), antichain(13),
+    ]
+    for p in posets:
+        space = stone.StoneSpace(p)
+        for i, name in enumerate(p.names):
+            assert stone.v_set(space, name) == stone.v_set(space, i) == _point_scan(space, i)
+        with pytest.raises(UnknownElement):
+            stone.v_set(space, "no such element")
+        with pytest.raises(UnknownElement):
+            stone.v_set(space, p.n)
+
+
+def test_oracle_never_reads_the_algebra_columns(monkeypatch):
+    """The generator clopens come from the point list alone, one transpose
+    per space, so a fault in ``Poset.columns`` cannot reach the oracle."""
+    def no_columns(self, support):
+        raise AssertionError("the oracle read Poset.columns")
+
+    transposes = []
+    real = stone.transpose
+
+    def counted(rows, width):
+        transposes.append(width)
+        return real(rows, width)
+
+    monkeypatch.setattr(Poset, "columns", no_columns)
+    monkeypatch.setattr(stone, "transpose", counted)
+    p = random_poset(7, 0.3, 5)
+    space = stone.StoneSpace(p)
+    a, b = p.names[0], p.names[1]
+    node = ("or", ("and", ("var", a), ("not", ("var", b))), ("const", True))
+    assert stone.denote_expr(space, node) == space.full
+    node = ("and", ("var", a), ("not", ("var", b)))
+    assert stone.denote_expr(space, node) == _point_scan(space, 0) & ~_point_scan(space, 1)
+    for i in range(p.n):
+        assert stone.v_set(space, i) == _point_scan(space, i)
+    assert transposes == [p.n]
+    assert stone.check_binary_subbase(p) is None
+    assert transposes == [p.n, p.n]
+
+
+def test_signature_blocks_match_per_point_signatures():
+    """Same blocks in the same order (by lowest point) as grouping each point
+    by its tuple of generator bits."""
+    rng = random.Random(3)
+    for count, k in ((0, 2), (1, 1), (9, 0), (40, 3), (300, 5)):
+        gens = [rng.getrandbits(count) for _ in range(k)]
+        by_sig = {}
+        for point in range(count):
+            sig = tuple(g >> point & 1 for g in gens)
+            by_sig[sig] = by_sig.get(sig, 0) | 1 << point
+        assert stone.signature_blocks(count, gens) == list(by_sig.values())
 
 
 def test_v_set_is_order_embedding():
