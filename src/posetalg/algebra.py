@@ -37,7 +37,7 @@ table on 19 elements lifted onto 20 takes seconds).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import and_, or_
 
@@ -263,12 +263,10 @@ def leq(e1, e2):
     return is_zero(meet(e1, complement(e2)))
 
 
-@dataclass(frozen=True)
-class ElementaryProduct:
+class ElementaryProduct(namedtuple("ElementaryProduct", "pos neg")):
     """(prod of x_p, p in pos) & (prod of -x_q, q in neg), as support masks."""
 
-    pos: int
-    neg: int
+    __slots__ = ()
 
     def render(self, poset):
         bits = []

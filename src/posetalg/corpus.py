@@ -38,13 +38,14 @@ def all_posets(n):
 
     Scans every set of up-edges i -> j (i < j) in mask order and keeps the
     first closure met of each isomorphism class, as its minimal relabeled
-    relation matrix.  A closure seen before is skipped before relabeling.
+    relation matrix.  Each class is canonicalised once: its first closure's
+    n! relabelings all go into ``seen``, so any later closure of the class
+    is found there by one lookup.
     """
     if n == 0:
         return (build_poset([], []),)
     pairs = list(combinations(range(n), 2))
     tables = _relabel_tables(n)
-    closures = set()
     seen = set()
     out = []
     for mask in range(1 << len(pairs)):
@@ -52,14 +53,11 @@ def all_posets(n):
         for k, (i, j) in enumerate(pairs):
             if mask >> k & 1:
                 rows[i] |= 1 << j
-        closure = tuple(transitive_closure(rows))
-        if closure in closures:
+        if tuple(transitive_closure(rows)) in seen:
             continue
-        closures.add(closure)
-        key = min(tuple([table[rows[i]] for i in inverse]) for inverse, table in tables)
-        if key not in seen:
-            seen.add(key)
-            out.append(Poset([str(i) for i in range(n)], list(key)))
+        relabelings = {tuple([table[rows[i]] for i in inverse]) for inverse, table in tables}
+        seen |= relabelings
+        out.append(Poset([str(i) for i in range(n)], list(min(relabelings))))
     return tuple(out)
 
 

@@ -16,7 +16,6 @@ algebra with the algebra of the chain minus its minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from . import algebra, lattice, stone
@@ -29,7 +28,7 @@ from .errors import (
     PremiseFailed,
     UnknownElement,
 )
-from .poset import Poset, chain, iter_bits, lex_sum, product
+from .poset import chain, iter_bits, lex_sum, product
 
 
 class PosetAlgebraTarget:
@@ -202,14 +201,14 @@ def subposet_embedding(sub, ambient, inclusion):
 # -- relativization --------------------------------------------------------------
 
 
-@dataclass
 class Relativization:
     """Algebra over {p : p not above q} mapped onto the part below x_q."""
 
-    sub: Poset
-    sub_ids: list  # sub id -> ambient id
-    unit: algebra.AlgebraElem  # x_q, the unit of the relative algebra
-    hom: Hom  # embedding of F(sub) into the ambient algebra
+    def __init__(self, sub, sub_ids, unit, hom):
+        self.sub = sub
+        self.sub_ids = sub_ids  # sub id -> ambient id
+        self.unit = unit  # x_q, the unit of the relative algebra
+        self.hom = hom  # embedding of F(sub) into the ambient algebra
 
     def apply(self, y):
         return algebra.meet(self.hom.apply(y), self.unit)
@@ -347,12 +346,12 @@ def lex_layering_check(index, parts):
 # -- block decomposition along a cofinal chain -----------------------------------------
 
 
-@dataclass
 class HConstructionResult:
-    elems: list  # the assembled generating family, zero included
-    generates: bool
-    layering: bool
-    blocks: list  # per chain step, the family contributed by that step
+    def __init__(self, elems, generates, layering, blocks):
+        self.elems = elems  # the assembled generating family, zero included
+        self.generates = generates
+        self.layering = layering
+        self.blocks = blocks  # per chain step, the family contributed by that step
 
 
 def is_directed(poset):

@@ -13,7 +13,6 @@ import random
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import algebra, corpus, lattice, morphisms, stone, wqo
@@ -32,13 +31,13 @@ from .poset import (
 RANDOM_PER_SIZE = 20
 
 
-@dataclass
 class SuiteConfig:
-    max_size: int = 5
-    samples: int = 1000
-    seed: int = 42
-    horizon: int = 12
-    strict: bool = False
+    def __init__(self, max_size=5, samples=1000, seed=42, horizon=12, strict=False):
+        self.max_size = max_size
+        self.samples = samples
+        self.seed = seed
+        self.horizon = horizon
+        self.strict = strict
 
 
 class Witness(Exception):

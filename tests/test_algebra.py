@@ -376,6 +376,19 @@ def test_dnf_examples(v3):
     assert str(comp) == "-x{c}"
 
 
+def test_elementary_product_is_an_immutable_value(v3):
+    a = algebra.ElementaryProduct(pos=0b01, neg=0b10)
+    b = algebra.ElementaryProduct(0b01, 0b10)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != algebra.ElementaryProduct(pos=0b10, neg=0b01)
+    assert (a.pos, a.neg) == (0b01, 0b10)
+    assert repr(a) == "ElementaryProduct(pos=1, neg=2)"
+    with pytest.raises(AttributeError):
+        a.pos = 0
+    assert a.render(v3) == "x{a}*-x{b}"
+    assert algebra.ElementaryProduct(0, 0).render(v3) == "1"
+
+
 @settings(max_examples=80, deadline=None)
 @given(any_poset_expr())
 def test_dnf_round_trip(case):

@@ -1,5 +1,6 @@
 """The exhaustive corpus, the up-set enumerator and its bit columns against brute force."""
 
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -65,6 +66,17 @@ def test_all_posets_match_reference(n):
     got = [(p.names, p.up) for p in corpus.all_posets(n)]
     assert got == reference_posets(n)
     assert len(got) == [1, 1, 2, 5, 16, 63][n]
+
+
+# sha256 of repr([(names, up), ...]) for all_posets(6): reference_posets would
+# take minutes there, so the output is pinned instead
+ALL_POSETS_6_SHA256 = "46dbea3cac3e78962be8c2b5d7f0bae8122b1106a86286d4c27f2fd7b791f543"
+
+
+def test_all_posets_6_is_unchanged():
+    got = [(p.names, p.up) for p in corpus.all_posets(6)]
+    assert len(got) == 318  # OEIS A000112
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == ALL_POSETS_6_SHA256
 
 
 def power_set_upsets(p, support):

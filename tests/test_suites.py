@@ -149,9 +149,16 @@ def test_l_leq_vs_oracle_reports_row_major_first_witness():
     assert found > 0
 
 
-def test_no_numpy_on_the_import_and_suite_path():
+def _fresh_interpreter(code):
+    """Standard output of ``code`` run by a new interpreter that imports from src/."""
     src = os.path.dirname(os.path.dirname(suites.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_no_numpy_on_the_import_and_suite_path():
     code = (
         "import sys, importlib, posetalg\n"
         "importlib.import_module('posetalg.cli')\n"
@@ -160,6 +167,19 @@ def test_no_numpy_on_the_import_and_suite_path():
         "assert report['failures'] == 0\n"
         "print('numpy' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    code = "import sys, posetalg\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_suite_config_defaults_and_construction():
+    config = suites.SuiteConfig()
+    assert (config.max_size, config.samples, config.seed, config.horizon, config.strict) == (
+        5, 1000, 42, 12, False)
+    config = suites.SuiteConfig(max_size=3, strict=True)
+    assert (config.max_size, config.samples, config.seed, config.strict) == (3, 1000, 42, True)
+    config = suites.SuiteConfig(4, 100, 7, 6)
+    assert (config.max_size, config.samples, config.seed, config.horizon) == (4, 100, 7, 6)
