@@ -1,13 +1,13 @@
 """The meet-semilattice of generator products and the lattice it generates.
 
-A product term is a canonical antichain sigma (minimal elements kept) standing
-for the meet of the generators over sigma; the empty term is the unit.  A
-lattice element is a canonical set of pairwise incomparable terms standing for
-their join; the empty set is zero.  Term order is the pointwise rule
-``every q in tau has some p in sigma below it``, equivalent to inclusion of
-generated final segments; the lattice order reduces to it because products
-are join-prime (a fact the test suites verify against the Stone oracle
-rather than trusting axiomatically).
+A product term is its sigma mask, an antichain standing for the meet of the
+generators over sigma, as ``enumerate_pi`` lists them; the empty term is the
+unit.  A lattice element is a set of pairwise incomparable terms standing for
+their join, as ``enumerate_l`` lists them; the empty set is zero.  Term order
+is the pointwise rule ``every q in tau has some p in sigma below it``,
+equivalent to inclusion of generated final segments; the lattice order
+reduces to it because products are join-prime (a fact the test suites verify
+against the Stone oracle rather than trusting axiomatically).
 """
 
 from __future__ import annotations
@@ -26,54 +26,12 @@ LATTICE_CLOSURE_CAP = 1 << 14
 # -- product terms -------------------------------------------------------------
 
 
-def canonical_sigma(poset, sigma):
-    """The antichain of a sigma mask: its minimal elements."""
-    return poset.minimals(sigma)
-
-
 def pi_leq_masks(poset, s, t):
     """x_s <= x_t: every q in t has some p in s with p <= q."""
     for q in iter_bits(t):
         if not poset.down[q] & s:
             return False
     return True
-
-
-class ProductTerm:
-    """Meet of generators over a canonical antichain; the unit when empty."""
-
-    __slots__ = ("poset", "sigma")
-
-    def __init__(self, poset, sigma):
-        self.poset = poset
-        self.sigma = canonical_sigma(poset, sigma)
-
-    def __eq__(self, other):
-        if not isinstance(other, ProductTerm):
-            return NotImplemented
-        return self.poset is other.poset and self.sigma == other.sigma
-
-    def __hash__(self):
-        return hash((id(self.poset), self.sigma))
-
-    def __repr__(self):
-        return f"ProductTerm({sorted(self.poset.names_of(self.sigma))})"
-
-    def __str__(self):
-        return _term_str(self.poset, self.sigma)
-
-    def to_elem(self):
-        return algebra.product_elem(self.poset, self.sigma)
-
-
-def product_term(poset, sigma):
-    return ProductTerm(poset, sigma)
-
-
-def pi_leq(t1, t2):
-    if t1.poset is not t2.poset:
-        raise PosetMismatch("terms over different posets")
-    return pi_leq_masks(t1.poset, t1.sigma, t2.sigma)
 
 
 def _term_str(poset, sigma):
@@ -85,30 +43,19 @@ def _term_str(poset, sigma):
 # -- lattice elements ----------------------------------------------------------
 
 
-def _prune_terms(poset, sigmas):
-    """Keep the maximal terms of a set of canonical sigma masks."""
-    uniq = sorted(set(sigmas))
-    kept = []
-    for s in uniq:
-        if any(s != t and pi_leq_masks(poset, s, t) for t in uniq):
-            continue
-        kept.append(s)
-    return frozenset(kept)
-
-
 class LatticeElem:
-    """Join of pairwise incomparable product terms; zero when empty."""
+    """Join of pairwise incomparable product terms; zero when empty.
+
+    ``terms`` must be a canonical antichain of sigma masks, as ``enumerate_l``
+    lists them: each sigma is its own ``poset.minimals`` and no two terms
+    satisfy ``pi_leq_masks``.  Nothing here prunes or canonicalizes them.
+    """
 
     __slots__ = ("poset", "terms")
 
-    def __init__(self, poset, sigmas, *, _canonical=False):
+    def __init__(self, poset, terms):
         self.poset = poset
-        if _canonical:
-            self.terms = frozenset(sigmas)
-        else:
-            self.terms = _prune_terms(
-                poset, [canonical_sigma(poset, s) for s in sigmas]
-            )
+        self.terms = frozenset(terms)
 
     def __eq__(self, other):
         if not isinstance(other, LatticeElem):
@@ -130,62 +77,13 @@ class LatticeElem:
         return algebra.join_products(self.poset, self.terms)
 
 
-def l_elem(poset, terms):
-    """Lattice element from an iterable of ProductTerms and sigma masks."""
-    sigmas = []
-    for t in terms:
-        if isinstance(t, ProductTerm):
-            if t.poset is not poset:
-                raise PosetMismatch("term over a different poset")
-            t = t.sigma
-        sigmas.append(t)
-    return LatticeElem(poset, sigmas)
-
-
-def _check_pair(a, b):
-    if a.poset is not b.poset:
-        raise PosetMismatch("lattice elements over different posets")
-
-
-def l_join(a, b):
-    _check_pair(a, b)
-    return LatticeElem(a.poset, list(a.terms) + list(b.terms))
-
-
-def l_meet(a, b):
-    _check_pair(a, b)
-    poset = a.poset
-    sigmas = [
-        canonical_sigma(poset, s | t) for s in a.terms for t in b.terms
-    ]
-    return LatticeElem(poset, sigmas)
-
-
 def l_leq(a, b):
     """a <= b: every term of a sits below some term of b (join-primeness)."""
-    _check_pair(a, b)
+    if a.poset is not b.poset:
+        raise PosetMismatch("lattice elements over different posets")
     return all(
         any(pi_leq_masks(a.poset, s, t) for t in b.terms) for s in a.terms
     )
-
-
-def from_algebra_elem(e, pis=None):
-    """Recognize an algebra element as a lattice element, or None.
-
-    The candidate is the join of the maximal product terms below e; e is a
-    lattice element iff that join equals e.
-    """
-    poset = e.poset
-    if pis is None:
-        pis = enumerate_pi(poset)
-    below = [
-        s for s in pis
-        if algebra.leq(algebra.product_elem(poset, s), e)
-    ]
-    cand = LatticeElem(poset, below)
-    if algebra.equals(cand.to_elem(), e):
-        return cand
-    return None
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -234,7 +132,7 @@ def enumerate_l(poset, include_unit=True):
     less = _strict_less_rows(term_segments(poset, pis))
     comp = [a | b for a, b in zip(less, transpose(less, len(less)))]
     return [
-        LatticeElem(poset, frozenset(pis[i] for i in iter_bits(mask)), _canonical=True)
+        LatticeElem(poset, [pis[i] for i in iter_bits(mask)])
         for mask in _antichains(comp)[1:]
     ]
 

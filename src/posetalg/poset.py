@@ -164,9 +164,13 @@ class Poset:
         self.names = tuple(names)
         self.up = tuple(up_rows)
         self.full = (1 << n) - 1
+        if len(self.up) != n:
+            raise NotAnOrder(f"{len(self.up)} rows for {n} elements")
         down = [0] * n
         for i in range(n):
             row = self.up[i]
+            if row >> n:
+                raise NotAnOrder(f"row of {self.names[i]!r} has bits outside the {n} elements")
             if not row >> i & 1:
                 raise NotAnOrder(f"relation not reflexive at {self.names[i]!r}")
             for j in iter_bits(row):
@@ -267,9 +271,10 @@ class Poset:
         read only as columns is never listed, and one read only as a list
         never gets columns from ``_entry``.  An overflow never caches the
         support that overflowed, so every entry was built under the one cap
-        ``MAX_SEGMENTS``.
+        ``MAX_SEGMENTS``.  A support with a bit outside the poset, negative
+        ones included, raises UnknownElement.
         """
-        support &= self.full
+        self._check_support(support)
         entry = self._cache.get(support) or [0, None, None]
         form = 1 if listing else 2
         if entry[form] is None:
@@ -277,6 +282,12 @@ class Poset:
             entry[0], entry[form] = got[0], got[form]
             self._cache[support] = entry
         return entry
+
+    def _check_support(self, support):
+        """``support``; UnknownElement if it has a bit outside the poset."""
+        if support & ~self.full:
+            raise UnknownElement(f"mask {support:#x} has bits outside the {self.n} elements")
+        return support
 
     def upsets_of(self, support):
         """All up-closed subsets of the subposet induced on ``support``.
@@ -337,7 +348,7 @@ class Poset:
 
     def induced(self, support):
         """Subposet on a mask; returns (Q, list mapping Q-ids to P-ids)."""
-        ids = list(iter_bits(support & self.full))
+        ids = list(iter_bits(self._check_support(support)))
         pos = {p: k for k, p in enumerate(ids)}
         rows = []
         for p in ids:

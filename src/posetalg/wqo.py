@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import BadArity, ParseError, UnknownElement
-from .poset import _is_name, build_poset, parse_json_dict, rado_prefix
+from .errors import BadArity, UnknownElement
+from .poset import rado_prefix
 
 
 class Front:
@@ -92,53 +92,3 @@ def classify_array(arr):
         "verdict": "mixed",
         "witnesses": {"good": good_witness, "bad": bad_witness},
     }
-
-
-def _int_field(data, key):
-    value = data.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{key!r} must be an integer, got {value!r}")
-    return value
-
-
-def labeling_from_json(data):
-    """Ingest {"k":…, "N":…, "labels": {"0,1": "(0,1)", …}} or the shorthand
-    {"generator": "rado-identity", "N": …}.
-
-    The labels name elements of the Rado prefix on N, or of an optional
-    ``"poset"`` object in the shape of ``poset.parse_json_dict``.  A label is
-    read as a name, as ``build_poset`` reads the elements, so the label 1 is
-    the element '1'.  A malformed poset, a ``"labels"`` value that is not an
-    object, a key that is not comma-separated integers or a label that is not
-    a string or integer raises ParseError, as do a document that is not an
-    object and a missing or non-integer ``"k"`` or ``"N"``.  Fewer labels than
-    the front has blocks raise UnknownElement before any block is listed."""
-    if not isinstance(data, dict):
-        raise ParseError("a labeling must be a JSON object")
-    if data.get("generator") == "rado-identity":
-        return rado_identity_labeling(_int_field(data, "N"))
-    horizon = _int_field(data, "N")
-    k = _int_field(data, "k")
-    labels = data.get("labels")
-    if not isinstance(labels, dict):
-        raise ParseError("'labels' must be an object of block -> element name")
-    # C(N, k) by its running products, stopped once it passes the label count
-    blocks = int(1 <= k <= horizon)
-    for i in range(min(k, horizon - k)):
-        if blocks > len(labels):
-            break
-        blocks = blocks * (horizon - i) // (i + 1)
-    if blocks > len(labels):
-        raise UnknownElement(f"fewer labels than the C({horizon}, {k}) blocks of the front")
-    poset = build_poset(*parse_json_dict(data["poset"])) if "poset" in data else rado_prefix(horizon)
-    fr = Front(k, horizon)
-    label = {}
-    for key, value in labels.items():
-        try:
-            block = tuple(int(x) for x in key.split(","))
-        except ValueError:
-            raise ParseError(f"label key {key!r} is not comma-separated integers") from None
-        if not _is_name(value):
-            raise ParseError(f"label {value!r} is not a string or integer name")
-        label[block] = str(value)
-    return ArrayLabeling(fr, poset, label)

@@ -7,28 +7,44 @@ from hypothesis import strategies as st
 from conftest import brute_max_antichain_size
 from posetalg import algebra, corpus, lattice, stone
 from posetalg.errors import ClosureOverflow, PosetMismatch
-from posetalg.poset import Poset, antichain, chain, rado_prefix, random_poset
+from posetalg.poset import Poset, antichain, chain, popcount, rado_prefix, random_poset
 
 
 def term_str_set(poset, masks):
     return {lattice._term_str(poset, m) for m in masks}
 
 
+def listed_by_denotation(p):
+    """The Stone oracle's clopen of every element ``enumerate_l`` lists, and
+    of zero, mapped to that element."""
+    space = stone.StoneSpace(p)
+    elems = lattice.enumerate_l(p) + [lattice.LatticeElem(p, [])]
+    return space, {stone.denote_elem(space, e.to_elem()): e for e in elems}
+
+
+def product_clopen(space, p, names):
+    return stone.denote_elem(space, algebra.product_elem(p, p.mask(names)))
+
+
 # -- product terms -----------------------------------------------------------------
 
 
 def test_product_term_canonicalizes(v3):
-    t = lattice.product_term(v3, v3.mask(["a", "c"]))
-    assert sorted(v3.names_of(t.sigma)) == ["a"]
+    # a product term is its sigma mask: a <= c, so x{a,c} is x{a}, and the
+    # canonical mask that enumerate_pi lists is its minimals
+    ac, a = v3.mask(["a", "c"]), v3.mask(["a"])
+    assert v3.minimals(ac) == a
+    pis = lattice.enumerate_pi(v3)
+    assert a in pis and ac not in pis
+    assert lattice.pi_leq_masks(v3, ac, a) and lattice.pi_leq_masks(v3, a, ac)
 
 
 def test_pi_leq_examples(v3):
-    ab = lattice.product_term(v3, v3.mask(["a", "b"]))
-    c = lattice.product_term(v3, v3.mask(["c"]))
-    a = lattice.product_term(v3, v3.mask(["a"]))
-    b = lattice.product_term(v3, v3.mask(["b"]))
-    assert lattice.pi_leq(ab, c)
-    assert not lattice.pi_leq(a, b) and not lattice.pi_leq(b, a)
+    a, b, c = (v3.mask([x]) for x in "abc")
+    assert lattice.pi_leq_masks(v3, a | b, c)
+    assert not lattice.pi_leq_masks(v3, a, b) and not lattice.pi_leq_masks(v3, b, a)
+    assert lattice.pi_leq_masks(v3, a, c) and not lattice.pi_leq_masks(v3, c, a)
+    assert lattice.pi_leq_masks(v3, c, 0) and not lattice.pi_leq_masks(v3, 0, c)
 
 
 def test_pi_leq_three_way_agreement():
@@ -47,14 +63,24 @@ def test_pi_leq_three_way_agreement():
 
 
 def test_l_join_keeps_incomparable(v3):
-    a = lattice.l_elem(v3, [v3.mask(["a"])])
-    b = lattice.l_elem(v3, [v3.mask(["b"])])
-    j = lattice.l_join(a, b)
-    assert term_str_set(v3, j.terms) == {"x{a}", "x{b}"}
-    space = stone.StoneSpace(v3)
-    dj = stone.denote_elem(space, j.to_elem())
+    space, listed = listed_by_denotation(v3)
+    dj = product_clopen(space, v3, ["a"]) | product_clopen(space, v3, ["b"])
+    assert term_str_set(v3, listed[dj].terms) == {"x{a}", "x{b}"}
     for s in lattice.enumerate_pi(v3):
         assert stone.denote_elem(space, algebra.product_elem(v3, s)) != dj
+
+
+def test_l_join_prunes_dominated(v3):
+    space, listed = listed_by_denotation(v3)
+    dj = product_clopen(space, v3, ["a"]) | product_clopen(space, v3, ["c"])
+    assert term_str_set(v3, listed[dj].terms) == {"x{c}"}
+
+
+def test_l_meet_distributes(v3):
+    space, listed = listed_by_denotation(v3)
+    dab = product_clopen(space, v3, ["a"]) | product_clopen(space, v3, ["b"])
+    dm = dab & product_clopen(space, v3, ["c"])
+    assert term_str_set(v3, listed[dm].terms) == {"x{a}", "x{b}"}
 
 
 def test_to_elem_matches_join_of_product_elems():
@@ -72,69 +98,58 @@ def test_to_elem_matches_join_of_product_elems():
     assert checked == 487  # lattice elements plus one zero per poset, n = 1..4
 
 
-def test_l_join_prunes_dominated(v3):
-    a = lattice.l_elem(v3, [v3.mask(["a"])])
-    c = lattice.l_elem(v3, [v3.mask(["c"])])
-    assert term_str_set(v3, lattice.l_join(a, c).terms) == {"x{c}"}
-
-
 def test_l_leq_example(v3):
-    ab = lattice.l_elem(v3, [v3.mask(["a"]), v3.mask(["b"])])
-    c = lattice.l_elem(v3, [v3.mask(["c"])])
+    ab = lattice.LatticeElem(v3, [v3.mask(["a"]), v3.mask(["b"])])
+    c = lattice.LatticeElem(v3, [v3.mask(["c"])])
     assert lattice.l_leq(ab, c)
     assert not lattice.l_leq(c, ab)
-
-
-def test_l_meet_distributes(v3):
-    ab = lattice.l_elem(v3, [v3.mask(["a"]), v3.mask(["b"])])
-    c = lattice.l_elem(v3, [v3.mask(["c"])])
-    m = lattice.l_meet(ab, c)
-    assert term_str_set(v3, m.terms) == {"x{a}", "x{b}"}
+    assert lattice.l_leq(lattice.LatticeElem(v3, []), ab)
+    assert lattice.l_leq(c, lattice.LatticeElem(v3, [0]))
 
 
 def test_lattice_str(v3):
-    e = lattice.l_elem(v3, [v3.mask(["a"]), v3.mask(["b"])])
+    e = lattice.LatticeElem(v3, [v3.mask(["a"]), v3.mask(["b"])])
     assert str(e) == "x{a} + x{b}"
-    assert str(lattice.l_elem(v3, [])) == "0"
-    assert str(lattice.l_elem(v3, [0])) == "1"
+    assert str(lattice.LatticeElem(v3, [])) == "0"
+    assert str(lattice.LatticeElem(v3, [0])) == "1"
     assert sorted(v3.names_of(s) for s in e.terms) == [["a"], ["b"]]
 
 
 def test_poset_mismatch_guard(v3):
     other = chain(2)
     with pytest.raises(PosetMismatch):
-        lattice.l_join(lattice.l_elem(v3, [v3.mask(["a"])]), lattice.l_elem(other, [1]))
+        lattice.l_leq(lattice.LatticeElem(v3, [v3.mask(["a"])]), lattice.LatticeElem(other, [1]))
 
 
 POOL = [corpus.v3(), chain(3), antichain(3), random_poset(4, 0.4, seed=2)]
 
 
-def lelem_strategy(idx):
-    p = POOL[idx]
-    sigmas = st.integers(0, p.full)
-    return st.lists(sigmas, max_size=3).map(lambda ms: lattice.LatticeElem(p, ms))
+@functools.lru_cache(maxsize=None)
+def pool_listed(idx):
+    return listed_by_denotation(POOL[idx])
 
 
 def two_lelems():
-    return st.sampled_from(range(len(POOL))).flatmap(
-        lambda i: st.tuples(st.just(i), lelem_strategy(i), lelem_strategy(i))
-    )
+    def pair(i):
+        elems = st.sampled_from(list(pool_listed(i)[1].values()))
+        return st.tuples(st.just(i), elems, elems)
+
+    return st.sampled_from(range(len(POOL))).flatmap(pair)
 
 
 @settings(max_examples=120, deadline=None)
 @given(two_lelems())
 def test_absorption_and_oracle_laws(case):
     idx, a, b = case
-    p = POOL[idx]
-    assert lattice.l_meet(a, lattice.l_join(a, b)) == a
-    assert lattice.l_join(a, lattice.l_meet(a, b)) == a
-    # operations agree with the algebra semantics
-    space = stone.StoneSpace(p)
+    space, listed = pool_listed(idx)
     da = stone.denote_elem(space, a.to_elem())
     db = stone.denote_elem(space, b.to_elem())
-    assert stone.denote_elem(space, lattice.l_join(a, b).to_elem()) == da | db
-    assert stone.denote_elem(space, lattice.l_meet(a, b).to_elem()) == da & db
-    assert lattice.l_leq(a, b) == (da & ~db == 0)
+    # the listed elements are closed under the oracle's join and meet
+    join, meet = listed[da | db], listed[da & db]
+    assert lattice.l_leq(a, join) and lattice.l_leq(b, join)
+    assert lattice.l_leq(meet, a) and lattice.l_leq(meet, b)
+    # absorption: a <= b iff a v b = b iff a ^ b = a, and l_leq agrees with the oracle
+    assert lattice.l_leq(a, b) == (join == b) == (meet == a) == (da & ~db == 0)
 
 
 @settings(max_examples=120, deadline=None)
@@ -142,9 +157,13 @@ def test_absorption_and_oracle_laws(case):
 def test_canonical_uniqueness(case):
     idx, a, b = case
     p = POOL[idx]
-    space = stone.StoneSpace(p)
+    space = pool_listed(idx)[0]
     same = stone.denote_elem(space, a.to_elem()) == stone.denote_elem(space, b.to_elem())
     assert (a.terms == b.terms) == same
+    # the precondition of LatticeElem: a canonical antichain of sigma masks
+    for s in a.terms:
+        assert p.minimals(s) == s
+        assert not any(t != s and lattice.pi_leq_masks(p, s, t) for t in a.terms)
 
 
 # -- enumeration ------------------------------------------------------------------------
@@ -155,9 +174,8 @@ def test_enumerate_pi_v3(v3):
     assert term_str_set(v3, pis) == {"1", "x{a}", "x{b}", "x{c}", "x{a,b}"}
     strict = lattice.enumerate_pi(v3, include_unit=False)
     assert term_str_set(v3, strict) == {"x{a}", "x{b}", "x{c}", "x{a,b}"}
-    terms = [lattice.product_term(v3, m) for m in pis]
-    assert {str(t) for t in terms} == term_str_set(v3, pis)
-    assert all(v3.minimals(t.sigma) == t.sigma for t in terms)
+    assert pis == sorted(pis, key=lambda m: (popcount(m), m))
+    assert all(v3.minimals(s) == s for s in pis)
 
 
 def test_enumerate_l_v3(v3):
@@ -323,8 +341,18 @@ def test_max_antichain_deep_augmenting_paths():
 
 
 def test_from_algebra_elem(v3):
+    # the closure of the generators under meet and join is what enumerate_l
+    # lists without the unit, for every poset of the corpus up to 3 elements
+    for p in corpus.corpus_posets(3):
+        gens = [algebra.gen(p, x) for x in p.names]
+        closed = {algebra.canonical_key(e) for e in lattice.lattice_closure(p, gens)}
+        listed = lattice.enumerate_l(p, include_unit=False)
+        assert closed == {algebra.canonical_key(e.to_elem()) for e in listed}
+    listed = {
+        algebra.canonical_key(e.to_elem()): str(e)
+        for e in lattice.enumerate_l(v3, include_unit=False)
+    }
     e = algebra.join(algebra.gen(v3, "a"), algebra.gen(v3, "b"))
-    le = lattice.from_algebra_elem(e)
-    assert le is not None and str(le) == "x{a} + x{b}"
+    assert listed[algebra.canonical_key(e)] == "x{a} + x{b}"
     not_lattice = algebra.complement(algebra.gen(v3, "c"))
-    assert lattice.from_algebra_elem(not_lattice) is None
+    assert algebra.canonical_key(not_lattice) not in listed

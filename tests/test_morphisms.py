@@ -1,3 +1,4 @@
+import itertools
 import json
 import operator
 import random
@@ -15,12 +16,25 @@ from posetalg.errors import (
     PremiseFailed,
     UnknownElement,
 )
-from posetalg.poset import antichain, chain, linear_augmentation
+from posetalg.poset import antichain, chain, lex_sum, linear_augmentation
 
 
 def all_elems(poset):
     space = stone.StoneSpace(poset)
     return space, [stone.elem_from_clopen(space, m) for m in range(1 << len(space.points))]
+
+
+def in_product_lattice(e):
+    """Is e's clopen the union of the product clopens below it?  The emap
+    suite reads membership in L(P) the same way."""
+    space = stone.StoneSpace(e.poset)
+    den = stone.denote_elem(space, e)
+    cover = 0
+    for s in lattice.enumerate_pi(e.poset):
+        product_den = stone.denote_elem(space, algebra.product_elem(e.poset, s))
+        if product_den & ~den == 0:
+            cover |= product_den
+    return cover == den
 
 
 # -- extension of generator assignments ----------------------------------------------
@@ -195,10 +209,9 @@ def test_embedding_comparable_pair(v3):
 def test_embedding_maps_lattice_into_lattice(v3):
     q = antichain(2)
     hom = morphisms.subposet_embedding(q, v3, [v3.id("a"), v3.id("b")])
-    pis = lattice.enumerate_pi(v3)
     for le in lattice.enumerate_l(q):
-        image = hom.apply(le.to_elem())
-        assert lattice.from_algebra_elem(image, pis) is not None
+        assert in_product_lattice(hom.apply(le.to_elem()))
+    assert not in_product_lattice(algebra.complement(algebra.gen(v3, "c")))
 
 
 def test_not_an_embedding(v3):
@@ -356,9 +369,8 @@ def test_e_map_size_cap():
 def test_e_map_accepts_lattice_elems():
     a2 = antichain(2)
     em = morphisms.EMap(a2, a2)
-    le = lattice.l_elem(a2, [a2.mask(["0"]), a2.mask(["1"])]).to_elem()
-    out = em.apply(le, le)
-    assert lattice.from_algebra_elem(out, lattice.enumerate_pi(em.prod)) is not None
+    le = lattice.LatticeElem(a2, [a2.mask(["0"]), a2.mask(["1"])]).to_elem()
+    assert in_product_lattice(em.apply(le, le))
 
 
 # -- product generation ---------------------------------------------------------------------------
@@ -388,8 +400,6 @@ def test_lex_layering_examples():
 
 def test_lex_layering_strictness_on_blocks(v3):
     # lower-block product strictly below upper-block product inside the sum
-    from posetalg.poset import lex_sum
-
     total = lex_sum(chain(2), [antichain(2), antichain(2)])
     low = algebra.join(
         algebra.gen(total, "0.0"), algebra.gen(total, "0.1")
@@ -398,6 +408,30 @@ def test_lex_layering_strictness_on_blocks(v3):
         algebra.gen(total, "1.0"), algebra.gen(total, "1.1")
     )
     assert algebra.leq(low, high) and not algebra.equals(low, high)
+
+
+def test_lex_layering_shifts_canonical_antichains():
+    # lex_layering_check shifts each part's strict lattice into the sum as is;
+    # inside one part the sum's order is the part's, so every shifted sigma
+    # stays minimal and the shifted terms stay pairwise incomparable
+    small = [p for n in range(4) for p in corpus.all_posets(n)]
+    strict = {id(p): lattice.enumerate_l(p, include_unit=False) for p in small}
+    checked = 0
+    for index in small:
+        for parts in itertools.product(small, repeat=index.n):
+            total = lex_sum(index, parts)
+            off = 0
+            for part in parts:
+                for le in strict[id(part)]:
+                    terms = [sigma << off for sigma in le.terms]
+                    for s in terms:
+                        assert total.minimals(s) == s
+                        assert not any(
+                            s != t and lattice.pi_leq_masks(total, s, t) for t in terms
+                        )
+                    checked += 1
+                off += part.n
+    assert checked == 57592  # lattice elements of every part of every sum
 
 
 # -- block decomposition -----------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_final_segments, brute_initial_segments
-from posetalg import corpus, lattice, morphisms
+from posetalg import algebra, corpus, lattice, morphisms
 from posetalg.errors import (
     CycleError,
     DuplicateName,
@@ -54,6 +54,35 @@ def test_poset_rows_validated_by_raising():
         Poset(["a", "b"], [0b01, 0b00])
     with pytest.raises(NotAnOrder, match="transitive"):
         Poset(["a", "b", "c"], [0b011, 0b110, 0b100])
+
+
+@pytest.mark.parametrize(
+    "names, rows",
+    [(["a"], [1, 2]), (["a", "b"], [1]), (["a"], [0b11]), (["a"], [-1]), (["a", "b"], [0b111, 0b10])],
+    ids=["extra-row", "missing-row", "bit-past-the-names", "negative-row", "high-bit-on-a-valid-row"],
+)
+def test_poset_rows_must_match_the_names(names, rows):
+    with pytest.raises(NotAnOrder):
+        Poset(names, rows)
+
+
+# masks with a bit outside v3's three elements, which were once cut to the
+# poset's bits, or read past them
+OUT_OF_RANGE = {
+    "upsets_of": lambda p: p.upsets_of(0b1000),
+    "upsets_of-negative": lambda p: p.upsets_of(-1),
+    "columns": lambda p: p.columns(0b1011),
+    "AlgebraElem": lambda p: algebra.AlgebraElem(p, 0b1001, 1),
+    "product_elem": lambda p: algebra.product_elem(p, 0b1000),
+    "induced": lambda p: p.induced(0b1100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_masks_outside_the_poset_raise(v3, name):
+    with pytest.raises(UnknownElement):
+        OUT_OF_RANGE[name](v3)
+    assert all(support & ~v3.full == 0 for support in v3._cache)
 
 
 def test_transitivity_inferred():

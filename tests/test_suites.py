@@ -105,6 +105,24 @@ def test_pinned_reports():
         assert got == (cases, failures, records, digest), name
 
 
+# The same, with --strict-lattice true, for the suites whose lattice
+# enumerations then drop the unit (enumerate_pi/enumerate_l, include_unit=False).
+PINNED_STRICT_REPORTS = {
+    "join-prime": (43419, 0, 24, "7398925f5ad7d97d55e679dc110e922727d12636023e7a70f8a28a1a2c25ea01"),
+    "chain-lattice": (32, 0, 32, "32929fe0fa12b2c37c2d0dc824f8dde72110b6f9d2ad0f5aef567420f905a8e2"),
+    "emap": (2380, 0, 16, "e8578f3b105c74ed19c686bd36778e2348e25289e1fdfe0c9f7d082788429cbe"),
+}
+
+
+def test_pinned_strict_lattice_reports():
+    config = suites.SuiteConfig(max_size=4, samples=100, horizon=6, strict=True)
+    for name, (cases, failures, records, digest) in PINNED_STRICT_REPORTS.items():
+        report = strip_elapsed(suites.run_suite(name, config))
+        got = (report["cases"], report["failures"], len(report["results"]),
+               hashlib.sha256(json.dumps(report).encode()).hexdigest())
+        assert got == (cases, failures, records, digest), name
+
+
 def test_corpus_scaling_beyond_five():
     config = suites.SuiteConfig(max_size=6, samples=40, seed=42)
     posets = suites._corpus_for(config)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_max_antichain_size
 from posetalg import lattice, wqo
-from posetalg.errors import BadArity, ParseError, SizeLimit, UnknownElement
+from posetalg.errors import BadArity, SizeLimit, UnknownElement
 from posetalg.poset import antichain, build_poset, chain, rado_prefix, random_poset
 
 
@@ -95,107 +95,6 @@ def test_front_one_consistent_with_bad_pairs():
         assert bad == all_pairs
     elif out["verdict"] == "perfect":
         assert not bad
-
-
-def test_labeling_from_json_shorthand():
-    arr = wqo.labeling_from_json({"generator": "rado-identity", "N": 5})
-    assert arr.front.k == 2 and arr.front.horizon == 5
-    assert wqo.classify_array(arr)["verdict"] == "bad"
-
-
-def test_labeling_from_json_explicit():
-    data = {
-        "k": 2,
-        "N": 3,
-        "labels": {"0,1": "(0,1)", "0,2": "(0,2)", "1,2": "(1,2)"},
-    }
-    arr = wqo.labeling_from_json(data)
-    assert arr.label[(0, 1)] == arr.poset.id("(0,1)")
-
-
-def test_labeling_from_json_with_poset():
-    data = {
-        "k": 1,
-        "N": 2,
-        "poset": {"elements": ["a", "b"], "le": [["a", "b"]]},
-        "labels": {"0": "a", "1": "b"},
-    }
-    arr = wqo.labeling_from_json(data)
-    assert arr.poset.names == ("a", "b") and arr.poset.leq("a", "b")
-    assert arr.label == {(0,): 0, (1,): 1}
-    assert wqo.classify_array(arr)["verdict"] == "perfect"
-
-
-@pytest.mark.parametrize("poset", [["a", "b"], {"elements": ["a", "b"]}, "ab"])
-def test_labeling_from_json_malformed_poset(poset):
-    data = {"k": 1, "N": 2, "poset": poset, "labels": {"0": "a", "1": "b"}}
-    with pytest.raises(ParseError):
-        wqo.labeling_from_json(data)
-
-
-def test_labeling_from_json_numeric_labels_are_names():
-    data = {
-        "k": 1,
-        "N": 2,
-        "poset": {"elements": [1, 0], "le": []},
-        "labels": {"0": 1, "1": "0"},
-    }
-    arr = wqo.labeling_from_json(data)
-    assert arr.poset.names == ("1", "0")
-    assert arr.label == {(0,): arr.poset.id("1"), (1,): arr.poset.id("0")} == {(0,): 0, (1,): 1}
-
-
-@pytest.mark.parametrize(
-    "labels",
-    [["a", "b"], "a,b", None, {"0": "a", "x": "b"}, {"0": "a", "": "b"}, {"0": "a", "1": ["b"]},
-     {"0": "a", "1": True}],
-)
-def test_labeling_from_json_malformed_labels(labels):
-    data = {"k": 1, "N": 2, "poset": {"elements": ["a", "b"], "le": []}, "labels": labels}
-    with pytest.raises(ParseError):
-        wqo.labeling_from_json(data)
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"N": 2, "labels": {}},
-        {"k": 1, "labels": {}},
-        {"k": "x", "N": 2, "labels": {}},
-        {"k": 1, "N": "2", "labels": {}},
-        {"k": 1.0, "N": 2, "labels": {}},
-        {"k": True, "N": 2, "labels": {}},
-        {"k": 1, "N": None, "labels": {}},
-        {"generator": "rado-identity"},
-        {"generator": "rado-identity", "N": "x"},
-        {"generator": "rado-identity", "N": 4.5},
-        ["k", 1, "N", 2],
-        "rado-identity",
-        None,
-    ],
-)
-def test_labeling_from_json_malformed_document(data):
-    with pytest.raises(ParseError):
-        wqo.labeling_from_json(data)
-
-
-@pytest.mark.parametrize(
-    "data, error",
-    [
-        ({"generator": "rado-identity", "N": 1000}, SizeLimit),
-        ({"k": 2, "N": 1000, "labels": {"0,1": "(0,1)"}}, UnknownElement),
-        ({"k": 3, "N": 10 ** 9, "labels": {}}, UnknownElement),
-        ({"k": 3, "N": 3, "labels": {}}, UnknownElement),
-    ],
-    ids=["rado-identity", "too-few-labels", "huge-front", "one-block"],
-)
-def test_labeling_from_json_checks_size_before_listing_blocks(monkeypatch, data, error):
-    def no_front(*args):
-        raise AssertionError("the front was listed before the size check")
-
-    monkeypatch.setattr(wqo, "Front", no_front)
-    with pytest.raises(error):
-        wqo.labeling_from_json(data)
 
 
 def test_rado_prefix_checks_size_before_listing_pairs():
