@@ -87,10 +87,6 @@ class AlgebraElem:
     def traces(self):
         return _form(self, 1)
 
-    @property
-    def cols(self):
-        return _form(self, 2)
-
     def eval_trace(self, trace):
         """Truth at a trace (an up-closed subset of the support)."""
         traces = self.entry[1] or _form(self, 1)

@@ -216,20 +216,21 @@ def is_iso_IS_to_Pi(poset):
 def _subset_rows(queries, masks):
     """Yield for each query the row of every j with the query a subset of masks[j].
 
-    Built from one column per mask bit (the items j having that bit): a row is
-    the AND of the columns of the bits of its query.  Rows come one at a time,
-    so a caller that only scans them never holds the whole matrix.
+    The columns of the masks (column k holds the items j having bit k) are one
+    ``transpose``, and a row is the AND of the columns of its query's bits; a
+    bit past every mask has an empty column.  Rows come one at a time, so a
+    caller that only scans them never holds the whole matrix.
     """
+    width = max(masks, default=0).bit_length()
+    cols = transpose(masks, width)
     everything = (1 << len(masks)) - 1
-    cols = {}
-    for j, m in enumerate(masks):
-        bit = 1 << j
-        for k in iter_bits(m):
-            cols[k] = cols.get(k, 0) | bit
     for q in queries:
+        if q >> width:
+            yield 0
+            continue
         row = everything
         for k in iter_bits(q):
-            row &= cols.get(k, 0)
+            row &= cols[k]
         yield row
 
 

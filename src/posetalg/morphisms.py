@@ -20,6 +20,7 @@ from itertools import accumulate
 
 from . import algebra, lattice, stone
 from .errors import (
+    BadArity,
     NotAnEmbedding,
     NotCofinal,
     NotDirected,
@@ -162,10 +163,13 @@ class Hom:
 def extend_hom(source, target, gen_image):
     """Extension of an order-preserving generator assignment.
 
-    ``gen_image[p]`` is the target element of source id p.  Raises
-    NotOrderPreserving with a witnessing pair otherwise.
+    ``gen_image[p]`` is the target element of source id p.  Raises BadArity
+    unless there is one image per source element, and NotOrderPreserving
+    with a witnessing pair if the assignment is not order-preserving.
     """
     images = list(gen_image)
+    if len(images) != source.n:
+        raise BadArity(f"{len(images)} generator images for {source.n} elements")
     for p in range(source.n):
         for q in iter_bits(source.up[p] & ~(1 << p)):
             if not target.leq(images[p], images[q]):

@@ -8,7 +8,7 @@ are plain Python ints used as bitmasks; ``up[i]`` is the bitmask row
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import (
     CycleError,
@@ -212,7 +212,10 @@ class Poset:
             raise UnknownElement(f"unknown element {p!r}") from None
 
     def mask(self, elems):
-        """Bitmask of an iterable of names/ids."""
+        """Bitmask of an iterable of names/ids; a str is one name, not an
+        iterable of them, so it raises TypeError."""
+        if isinstance(elems, str):
+            raise TypeError(f"expected an iterable of names or ids, got the str {elems!r}")
         m = 0
         for p in elems:
             m |= 1 << self.id(p)
@@ -455,25 +458,17 @@ def lex_sum(index, parts):
     """
     if len(parts) != index.n:
         raise SizeLimit("lex_sum needs one part per index element")
-    total = sum(part.n for part in parts)
-    if total > MAX_ELEMENTS:
-        raise SizeLimit(f"lex_sum would have {total} > {MAX_ELEMENTS} elements")
-    names = []
-    offsets = []
+    ends = list(accumulate((part.n for part in parts), initial=0))
+    if ends[-1] > MAX_ELEMENTS:
+        raise SizeLimit(f"lex_sum would have {ends[-1]} > {MAX_ELEMENTS} elements")
+    names = [f"{index.names[xi]}.{s}" for xi, part in enumerate(parts) for s in part.names]
+    rows = []
     for xi, part in enumerate(parts):
-        offsets.append(len(names))
-        names.extend(f"{index.names[xi]}.{s}" for s in part.names)
-    rows = [0] * total
-    for xi, part in enumerate(parts):
-        off = offsets[xi]
-        for p in range(part.n):
-            row = 0
-            for q in iter_bits(part.up[p]):
-                row |= 1 << (off + q)
-            for zeta in iter_bits(index.up[xi] & ~(1 << xi)):
-                zoff = offsets[zeta]
-                row |= ((1 << parts[zeta].n) - 1) << zoff
-            rows[off + p] = row
+        # the elements of every part strictly above xi in the index
+        above = 0
+        for zeta in iter_bits(index.up[xi] & ~(1 << xi)):
+            above |= (1 << ends[zeta + 1]) - (1 << ends[zeta])
+        rows.extend(row << ends[xi] | above for row in part.up)
     return Poset(names, rows)
 
 
@@ -482,19 +477,13 @@ def product(p, q):
     total = p.n * q.n
     if total > MAX_ELEMENTS:
         raise SizeLimit(f"product would have {total} > {MAX_ELEMENTS} elements")
-    names = []
-    index = {}
-    for a in range(p.n):
-        for b in range(q.n):
-            index[(a, b)] = len(names)
-            names.append(f"({p.names[a]},{q.names[b]})")
-    rows = [0] * total
-    for (a, b), i in index.items():
-        row = 0
-        for a2 in iter_bits(p.up[a]):
-            for b2 in iter_bits(q.up[b]):
-                row |= 1 << index[(a2, b2)]
-        rows[i] = row
+    names = [f"({pa},{qb})" for pa in p.names for qb in q.names]
+    index = {(a, b): a * q.n + b for a in range(p.n) for b in range(q.n)}
+    # row (a, b) is the OR of q.up[b] << a2 * q.n over the a2 in p.up[a]: the
+    # product of q.up[b] with the spread of p.up[a] (bit a2 at a2 * q.n), as
+    # copies q.n bits apart never carry into each other
+    spreads = [sum(1 << a2 * q.n for a2 in iter_bits(row)) for row in p.up]
+    rows = [spread * row for spread in spreads for row in q.up]
     return Poset(names, rows), index
 
 

@@ -25,6 +25,7 @@ from .poset import (
     linear_augmentation,
     rado_prefix,
     random_poset,
+    transpose,
 )
 
 # seeded random posets of each size past the exhaustive corpus
@@ -117,6 +118,12 @@ def _small_subset_masks(n, max_card):
         for combo in combinations(range(n), r):
             masks.append(sum(1 << i for i in combo))
     return masks
+
+
+def _point_traces(space, ids):
+    """Bit j of out[k] is set iff point k of ``space`` holds element ids[j]:
+    each point's trace on the listed ids, read off the space's own V_p."""
+    return transpose([stone.v_set(space, i) for i in ids], len(space.points))
 
 
 def _product_denotation(space, sigma):
@@ -289,18 +296,6 @@ def suite_is_pi_iso(config):
 # -- 5. chain collapse ---------------------------------------------------------------
 
 
-def _pullback_traces(source, mapping, target_space):
-    """Trace in the source of each target segment, for x_p -> x_{m(p)} maps."""
-    out = []
-    for seg in target_space.points:
-        trace = 0
-        for p in range(source.n):
-            if seg >> mapping[p] & 1:
-                trace |= 1 << p
-        out.append(trace)
-    return out
-
-
 def suite_chain_lattice(config):
     rec = _Recorder("chain-lattice")
     for n in range(1, 9):
@@ -321,7 +316,7 @@ def suite_chain_lattice(config):
             aug = linear_augmentation(poset, config.seed)
             c, mapping = aug
             space_c = stone.StoneSpace(c)
-            pullbacks = _pullback_traces(poset, mapping, space_c)
+            pullbacks = _point_traces(space_c, mapping)
 
             def transfer(elem):
                 m = 0
@@ -528,11 +523,8 @@ def suite_relativize(config):
                 inside = list(iter_bits(vq))
 
                 # segment traces restrict to a bijection onto the sub-segments
-                traces = []
-                for k in inside:
-                    seg = space.points[k]
-                    traces.append(sum(1 << si for si, pid in enumerate(rel.sub_ids)
-                                      if seg >> pid & 1))
+                sub_traces = _point_traces(space, rel.sub_ids)
+                traces = [sub_traces[k] for k in inside]
                 if sorted(traces) != list(sub_space.points):
                     raise Witness({"q": poset.names[q], "reason": "trace map not bijective"})
 

@@ -1,4 +1,5 @@
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,15 @@ from hypothesis import strategies as st
 from conftest import brute_max_antichain_size
 from posetalg import algebra, corpus, lattice, stone
 from posetalg.errors import ClosureOverflow, PosetMismatch
-from posetalg.poset import Poset, antichain, chain, popcount, rado_prefix, random_poset
+from posetalg.poset import (
+    Poset,
+    antichain,
+    chain,
+    iter_bits,
+    popcount,
+    rado_prefix,
+    random_poset,
+)
 
 
 def term_str_set(poset, masks):
@@ -274,6 +283,40 @@ def test_strict_less_rows_match_pi_leq():
         pis = lattice.enumerate_pi(p)
         expected = _leq_strict_rows(pis, lambda s, t: lattice.pi_leq_masks(p, s, t))
         assert lattice._strict_less_rows(lattice.term_segments(p, pis)) == expected
+
+
+def _subset_rows_by_bits(queries, masks):
+    """The subset rows as they were built: a column dict filled one mask bit
+    at a time, and a missing column read as empty."""
+    everything = (1 << len(masks)) - 1
+    cols = {}
+    for j, m in enumerate(masks):
+        for k in iter_bits(m):
+            cols[k] = cols.get(k, 0) | 1 << j
+    out = []
+    for q in queries:
+        row = everything
+        for k in iter_bits(q):
+            row &= cols.get(k, 0)
+        out.append(row)
+    return out
+
+
+def test_subset_rows_match_the_bit_loop():
+    rng = random.Random(20)
+    for count in (0, 1, 5, 70):
+        for width in (0, 1, 9, 80):
+            masks = [rng.getrandbits(width) for _ in range(count)]
+            top = max(masks, default=0).bit_length()
+            # the masks themselves, random queries, and queries with a bit
+            # past every mask, alone or beside bits inside
+            queries = masks + [rng.getrandbits(width) for _ in range(20)]
+            queries += [0, 1 << top, 1 << (top + 5), (1 << top) | 1, rng.getrandbits(top + 8)]
+            got = list(lattice._subset_rows(queries, masks))
+            assert got == _subset_rows_by_bits(queries, masks), (count, width)
+    # no masks: the empty query is a subset of all of none, any other of none
+    assert list(lattice._subset_rows([0, 1, 6], [])) == [0, 0, 0]
+    assert list(lattice._subset_rows([0, 2], [0, 0])) == [0b11, 0]
 
 
 def test_strict_less_rows_equal_masks_not_below():

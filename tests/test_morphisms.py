@@ -9,6 +9,7 @@ import pytest
 from conftest import subalgebra_closure
 from posetalg import algebra, corpus, lattice, morphisms, stone, suites
 from posetalg.errors import (
+    BadArity,
     NotAnEmbedding,
     NotCofinal,
     NotDirected,
@@ -63,6 +64,16 @@ def test_not_order_preserving_rejected(v3):
     with pytest.raises(NotOrderPreserving) as err:
         morphisms.extend_hom(v3, target, images)
     assert err.value.witness in ((("a"), ("c")), (("b"), ("c")))
+
+
+@pytest.mark.parametrize("source, images", [
+    (chain(2), [1]),  # too few, with an order check that reads the missing one
+    (antichain(2), [1]),  # too few, with no order check at all
+    (antichain(1), [1, 2, 3]),  # too many
+], ids=["too-few-chain2", "too-few-antichain2", "too-many-antichain1"])
+def test_extend_hom_needs_one_image_per_element(source, images):
+    with pytest.raises(BadArity):
+        morphisms.extend_hom(source, morphisms.MaskAlgebraTarget(2), images)
 
 
 def test_hom_laws_exhaustive_small(v3):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -206,6 +207,72 @@ def test_product_order():
     assert p.n == 4
     assert p.leq(index[(0, 0)], index[(1, 1)])
     assert p.incomparable(index[(0, 1)], index[(1, 0)])
+
+
+def _product_by_pairs(p, q):
+    """The coordinatewise product as it was built one related pair at a time:
+    (names, rows, index)."""
+    names, index = [], {}
+    for a in range(p.n):
+        for b in range(q.n):
+            index[(a, b)] = len(names)
+            names.append(f"({p.names[a]},{q.names[b]})")
+    rows = [0] * len(names)
+    for (a, b), i in index.items():
+        for a2 in iter_bits(p.up[a]):
+            for b2 in iter_bits(q.up[b]):
+                rows[i] |= 1 << index[(a2, b2)]
+    return names, rows, index
+
+
+def _lex_sum_by_bits(index, parts):
+    """The lexicographic sum's (names, rows) as it was built one bit at a time."""
+    names, offsets = [], []
+    for xi, part in enumerate(parts):
+        offsets.append(len(names))
+        names.extend(f"{index.names[xi]}.{s}" for s in part.names)
+    rows = [0] * len(names)
+    for xi, part in enumerate(parts):
+        off = offsets[xi]
+        for p in range(part.n):
+            row = 0
+            for q in iter_bits(part.up[p]):
+                row |= 1 << (off + q)
+            for zeta in iter_bits(index.up[xi] & ~(1 << xi)):
+                row |= ((1 << parts[zeta].n) - 1) << offsets[zeta]
+            rows[off + p] = row
+    return names, rows
+
+
+SMALL_POSETS = [antichain(0)] + corpus.corpus_posets(3)
+
+
+def test_product_rows_match_the_pair_loop():
+    for p in SMALL_POSETS:
+        for q in SMALL_POSETS:
+            got, index = product(p, q)
+            names, rows, expected_index = _product_by_pairs(p, q)
+            assert (got.names, got.up) == (tuple(names), tuple(rows))
+            assert index == expected_index
+            assert all(i == a * q.n + b for (a, b), i in index.items())
+
+
+def test_lex_sum_rows_match_the_bit_loop():
+    checked = 0
+    for index in SMALL_POSETS:
+        for parts in itertools.product(SMALL_POSETS, repeat=index.n):
+            got = lex_sum(index, list(parts))
+            names, rows = _lex_sum_by_bits(index, parts)
+            assert (got.names, got.up) == (tuple(names), tuple(rows))
+            checked += 1
+    assert checked == 1 + 9 + 2 * 9**2 + 5 * 9**3
+
+
+@pytest.mark.parametrize("poset, text", [("chain3", "12"), ("v3", "ab"), ("v3", "a"), ("v3", "")])
+def test_mask_rejects_a_string(poset, text):
+    # a str is one name, not a list of one-character names
+    with pytest.raises(TypeError):
+        {"chain3": chain(3), "v3": corpus.v3()}[poset].mask(text)
 
 
 def test_size_limit():

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from posetalg import lattice, stone, suites
-from posetalg.poset import build_poset
+from posetalg import corpus, lattice, morphisms, stone, suites
+from posetalg.poset import build_poset, linear_augmentation
 
 
 def strip_elapsed(report):
@@ -121,6 +121,30 @@ def test_pinned_strict_lattice_reports():
         got = (report["cases"], report["failures"], len(report["results"]),
                hashlib.sha256(json.dumps(report).encode()).hexdigest())
         assert got == (cases, failures, records, digest), name
+
+
+def test_point_traces_match_the_bit_loops():
+    """``_point_traces`` against the loops it replaced: chain-lattice's
+    pullback of each segment of a linear augmentation, and relativize's trace
+    of each segment on the sub-poset's ids."""
+    for p in corpus.corpus_posets(4):
+        c, mapping = linear_augmentation(p, 42)
+        space_c = stone.StoneSpace(c)
+        pullbacks = []
+        for seg in space_c.points:
+            trace = 0
+            for q in range(p.n):
+                if seg >> mapping[q] & 1:
+                    trace |= 1 << q
+            pullbacks.append(trace)
+        assert suites._point_traces(space_c, mapping) == pullbacks
+
+        space = stone.StoneSpace(p)
+        for q in range(p.n):
+            sub_ids = morphisms.relativize(p, q).sub_ids
+            expected = [sum(1 << si for si, pid in enumerate(sub_ids) if seg >> pid & 1)
+                        for seg in space.points]
+            assert suites._point_traces(space, sub_ids) == expected
 
 
 def test_corpus_scaling_beyond_five():
