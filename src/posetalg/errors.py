@@ -41,6 +41,19 @@ class PosetMismatch(PosetAlgError):
     pass
 
 
+class CountMismatch(PosetAlgError):
+    """An element's trace count differs from the number of blocks into which
+    the oracle's points fall on its support; carries the witness dict
+    (support names, count, blocks)."""
+
+    def __init__(self, witness):
+        super().__init__(
+            f"{witness['count']} traces on {witness['support']!r},"
+            f" but the points fall into {witness['blocks']} blocks"
+        )
+        self.witness = witness
+
+
 class BadArity(PosetAlgError):
     pass
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 
 from . import algebra
-from .errors import ClosureOverflow, EnumerationOverflow, PosetMismatch
+from .errors import BadArity, ClosureOverflow, EnumerationOverflow, PosetMismatch
 from .poset import iter_bits, popcount, transpose
 
 # the fixed size caps: antichains one enumeration lists, elements one closure holds
@@ -317,8 +317,11 @@ def max_antichain(items, masks):
 
     Exact at any size: Dilworth's theorem through a Hopcroft-Karp matching of
     the strict order and Koenig's vertex cover.  Returns (members, True); the
-    flag records that the width is certified.
+    flag records that the width is certified.  Raises BadArity unless there
+    is one mask per item.
     """
+    if len(items) != len(masks):
+        raise BadArity(f"{len(items)} items with {len(masks)} masks")
     if not items:
         return [], True
     left, right = _hopcroft_karp(_strict_less_rows(masks))

@@ -6,7 +6,11 @@ extends uniquely to a homomorphism.  An element on support S is a truth
 table over the traces of S.  The traces t partition the final segments, so
 the elementary products x_t * -x_{S-t} are disjoint, nonzero and join to 1;
 the extension sends the element to the join of the images of the products
-at its true traces, read from one image table per support.  The module
+at its true traces, read from one image table per support.  The tables hold
+ints: into the algebra over a poset, the generator images of a support's
+elements are lifted once onto U, the union of their supports, so an image
+is a truth table over the traces of U, a join is one OR and a result is one
+element on U.  The module
 builds the extension, subposet embeddings, relativizations to a generator,
 the collapse onto a linear augmentation, the two-variable product map,
 lexicographic layering checks, the block decomposition of a directed
@@ -16,7 +20,9 @@ algebra with the algebra of the chain minus its minimum.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate
+from operator import or_
 
 from . import algebra, lattice, stone
 from .errors import (
@@ -101,63 +107,91 @@ def _image_table(target, gen_image, support, traces):
 class Hom:
     """Homomorphism from the algebra over ``source`` into ``target``.
 
-    ``gen_image[i]`` is the image of generator i.  ``apply`` joins, over the
-    true traces t of an element on support S, the images of the elementary
-    products x_t * -x_{S-t}, read from one table per support.
-    ``apply_via_atoms`` is a second route that never reads those tables: it
-    evaluates the element at every final segment instead.
+    ``gen_image[i]`` is the image of generator i.  The hom computes on ints,
+    as a ``MaskAlgebraTarget`` does.  Into a ``PosetAlgebraTarget``, the
+    images of the elements of a support S are lifted onto U, the union of
+    their supports (under ``algebra.SUPPORT_CAP``, as a meet of them needs),
+    and an image is its table over the traces of U; a result is wrapped once
+    as an element on U.  ``apply`` ORs, over the true traces t of an element
+    on S, the images of the elementary products x_t * -x_{S-t}, read from one
+    int table per support.  ``apply_via_atoms`` is a second route that never
+    reads those tables: it ORs the images of the atoms in the element's
+    clopen instead.
     """
 
     def __init__(self, source, target, gen_image):
         self.source = source
         self.target = target
         self.gen_image = list(gen_image)
+        self._poset = target.poset if isinstance(target, PosetAlgebraTarget) else None
+        if self._poset is not None and any(img.poset is not self._poset for img in self.gen_image):
+            raise PosetMismatch("generator image over another poset")
         self._tables = {}
         self._space = None
-        self._atom_image = None
+        self._atoms = None
+
+    def _ints(self, support):
+        """(U, int target, images): the images of the elements of ``support``
+        as ints of a ``MaskAlgebraTarget``, indexed by source id; into a poset
+        algebra, their tables lifted onto U, the union of their supports."""
+        if self._poset is None:
+            return None, self.target, self.gen_image
+        ids = list(iter_bits(support))
+        images = [self.gen_image[p] for p in ids]
+        union = reduce(or_, [img.support for img in images], 0)
+        cols, full = algebra._columns(self._poset, union)
+        lifted = dict(zip(ids, [algebra._lift(img, union, cols, full) for img in images]))
+        return union, MaskAlgebraTarget(full.bit_length()), lifted
+
+    def _wrap(self, union, m):
+        """The target value of the int ``m`` over the traces of ``union``."""
+        if self._poset is None:
+            return m
+        return algebra.AlgebraElem(self._poset, union, m)
 
     def apply(self, e):
         if e.poset is not self.source:
             raise PosetMismatch("element not over the source poset")
-        tgt = self.target
-        table = self._tables.get(e.support)
-        if table is None:
-            table = _image_table(tgt, self.gen_image, e.support, e.traces)
-            self._tables[e.support] = table
-        out = tgt.zero()
+        got = self._tables.get(e.support)
+        if got is None:
+            union, ints, images = self._ints(e.support)
+            got = self._tables[e.support] = (
+                union, _image_table(ints, images, e.support, e.traces))
+        union, table = got
+        out = 0
         for k in iter_bits(e.truth):
-            out = tgt.join(out, table[k])
-        return out
+            out |= table[k]
+        return self._wrap(union, out)
 
     def space(self):
         if self._space is None:
             self._space = stone.StoneSpace(self.source)
         return self._space
 
+    def _atom_ints(self):
+        """(U, the int image of each atom of the source algebra, one per
+        final segment): the meet of the images of the segment's elements and
+        the complements of the others."""
+        if self._atoms is None:
+            union, ints, images = self._ints(self.source.full)
+            atoms = []
+            for seg in self.space().points:
+                term = ints.full
+                for p in range(self.source.n):
+                    term &= images[p] if seg >> p & 1 else ints.full ^ images[p]
+                atoms.append(term)
+            self._atoms = union, atoms
+        return self._atoms
+
     def atom_image(self):
         """Image of each atom of the source algebra (one per final segment)."""
-        if self._atom_image is None:
-            tgt = self.target
-            images = []
-            for seg in self.space().points:
-                term = tgt.one()
-                for p in range(self.source.n):
-                    img = self.gen_image[p]
-                    if not seg >> p & 1:
-                        img = tgt.complement(img)
-                    term = tgt.meet(term, img)
-                images.append(term)
-            self._atom_image = images
-        return self._atom_image
+        union, atoms = self._atom_ints()
+        return [self._wrap(union, m) for m in atoms]
 
     def apply_via_atoms(self, e):
         """Independent second route: join the images of the atoms under e."""
-        tgt = self.target
-        atoms = self.atom_image()
-        out = tgt.zero()
-        for k in iter_bits(stone.denote_elem(self.space(), e)):
-            out = tgt.join(out, atoms[k])
-        return out
+        union, atoms = self._atom_ints()
+        return self._wrap(union, stone.denote_and_map(atoms, stone.denote_elem(self.space(), e)))
 
 
 def extend_hom(source, target, gen_image):
@@ -234,8 +268,14 @@ def chain_epimorphism(poset, augmentation):
 
     ``augmentation`` is (chain C, mapping list P-id -> C-id) as produced by
     linear_augmentation; generator p maps to the generator of its image.
+    Raises BadArity unless there is one chain id per element of ``poset``,
+    and UnknownElement for an id outside the chain.
     """
     c, mapping = augmentation
+    if len(mapping) != poset.n:
+        raise BadArity(f"{len(mapping)} chain ids for {poset.n} elements")
+    if not all(0 <= i < c.n for i in mapping):
+        raise UnknownElement("chain id out of range")
     target = PosetAlgebraTarget(c)
     return extend_hom(poset, target, [algebra.gen(c, mapping[p]) for p in range(poset.n)])
 

@@ -11,6 +11,7 @@ import random
 from itertools import accumulate, combinations
 
 from .errors import (
+    BadArity,
     CycleError,
     DuplicateName,
     EnumerationOverflow,
@@ -454,10 +455,11 @@ def lex_sum(index, parts):
     """Lexicographic sum: parts glued along the index poset.
 
     (xi, p) <= (zeta, q) iff xi < zeta in the index, or xi = zeta and p <= q
-    in that part.  Parts may be empty.
+    in that part.  Parts may be empty.  Raises BadArity unless there is one
+    part per index element.
     """
     if len(parts) != index.n:
-        raise SizeLimit("lex_sum needs one part per index element")
+        raise BadArity(f"lex_sum needs one part per index element, got {len(parts)} for {index.n}")
     ends = list(accumulate((part.n for part in parts), initial=0))
     if ends[-1] > MAX_ELEMENTS:
         raise SizeLimit(f"lex_sum would have {ends[-1]} > {MAX_ELEMENTS} elements")

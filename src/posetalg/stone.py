@@ -7,6 +7,14 @@ symbolic decision can be cross-checked set-theoretically.  The generator
 clopens are one ``transpose`` of the point list, kept on the space and never
 read from ``Poset.columns``, so a fault in the algebra's column build cannot
 reach the oracle.
+
+An element on support S is denoted through the space's own points too: they
+fall into one block per distinct restriction ``point & S``, and those
+restrictions, ascending, are the traces of S in the algebra's order, so the
+clopen is the union of the blocks at the true bits of the truth table.  The
+blocks are kept on the space per support, and their number is checked
+against the element's trace count, so the oracle never reads the algebra's
+trace list and a wrong count raises ``CountMismatch``.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import random
 
 from . import algebra
-from .errors import PosetMismatch
+from .errors import CountMismatch, PosetMismatch, UnknownElement
 from .poset import iter_bits, transpose
 
 # check_binary_subbase scans every subfamily of a poset up to this size, and
@@ -24,15 +32,19 @@ SAMPLES = 10000
 
 
 class StoneSpace:
-    """All final segments of a poset, sorted ascending as bitmasks."""
+    """All final segments of a poset, sorted ascending as bitmasks.
 
-    __slots__ = ("poset", "points", "full", "v_sets")
+    ``v_sets`` (the generator clopens) and ``blocks`` (support -> the points
+    grouped by their restriction to it) fill in as they are read."""
+
+    __slots__ = ("poset", "points", "full", "v_sets", "blocks")
 
     def __init__(self, poset):
         self.poset = poset
         self.points = poset.final_segment_masks()
         self.full = (1 << len(self.points)) - 1
         self.v_sets = None
+        self.blocks = {}
 
 
 def v_set(space, p):
@@ -43,14 +55,40 @@ def v_set(space, p):
     return space.v_sets[i]
 
 
+def _point_blocks(space, support):
+    """The points grouped by their restriction to ``support``: one clopen
+    per distinct restriction, in ascending order of it, so block k is the
+    set of points whose restriction is the k-th trace of the support."""
+    blocks = space.blocks.get(support)
+    if blocks is None:
+        by_trace = {}
+        for k, point in enumerate(space.points):
+            trace = point & support
+            by_trace[trace] = by_trace.get(trace, 0) | 1 << k
+        blocks = space.blocks[support] = [by_trace[t] for t in sorted(by_trace)]
+    return blocks
+
+
 def denote_elem(space, e):
-    """Clopen set of an algebra element, by pointwise evaluation."""
+    """Clopen set of an algebra element: the union of the point blocks of
+    its support at the true bits of its table.  Raises CountMismatch when
+    the element's trace count is not the number of blocks."""
     if e.poset is not space.poset:
         raise PosetMismatch("element over a different poset")
+    # on the full support every block is one point, in the order of the table
+    full_support = e.support == space.poset.full
+    blocks = space.points if full_support else _point_blocks(space, e.support)
+    if len(blocks) != e.count:
+        raise CountMismatch({
+            "support": space.poset.names_of(e.support),
+            "count": e.count,
+            "blocks": len(blocks),
+        })
+    if full_support:
+        return e.truth
     mask = 0
-    for k, seg in enumerate(space.points):
-        if e.eval_segment(seg):
-            mask |= 1 << k
+    for k in iter_bits(e.truth):
+        mask |= blocks[k]
     return mask
 
 
@@ -179,6 +217,10 @@ def _scan_subfamilies(sets, full, samples, seed, exhaustive):
 
 
 def denote_and_map(atom_img, clopen):
+    """Union of ``atom_img[k]`` over the bits k of ``clopen``; UnknownElement
+    if ``clopen`` has a bit past the atoms."""
+    if clopen >> len(atom_img):
+        raise UnknownElement(f"clopen {clopen:#x} has bits past the {len(atom_img)} atoms")
     out = 0
     for k in iter_bits(clopen):
         out |= atom_img[k]

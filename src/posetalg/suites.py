@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from itertools import combinations, product
 
 from . import algebra, corpus, lattice, morphisms, stone, wqo
-from .errors import PremiseFailed, SizeLimit
+from .errors import CountMismatch, PremiseFailed, SizeLimit
 from .poset import (
     MAX_ELEMENTS,
     antichain,
@@ -69,10 +69,11 @@ class _Recorder:
 
         The body counts its checks on the yielded handle's ``cases`` (which
         starts at ``cases``), may fill in ``params``, and raises
-        ``Witness(...)`` to end early as a failure.  The record then carries
-        the time, the count up to that point (also as ``params[count_as]``
-        when that is given) and the params.  Any other exception propagates
-        and leaves no record.
+        ``Witness(...)`` to end early as a failure; a ``CountMismatch`` from
+        the oracle ends it the same way, with that error's witness.  The
+        record then carries the time, the count up to that point (also as
+        ``params[count_as]`` when that is given) and the params.  Any other
+        exception propagates and leaves no record.
         """
         t0 = time.perf_counter()
         case = _Case({} if params is None else params, cases)
@@ -81,6 +82,8 @@ class _Recorder:
             yield case
         except Witness as exc:
             witness = exc.args[0]
+        except CountMismatch as exc:
+            witness = exc.witness
         elapsed_ms = round((time.perf_counter() - t0) * 1000, 3) if timed else 0.0
         if count_as:
             case.params[count_as] = case.cases
@@ -316,14 +319,19 @@ def suite_chain_lattice(config):
             aug = linear_augmentation(poset, config.seed)
             c, mapping = aug
             space_c = stone.StoneSpace(c)
-            pullbacks = _point_traces(space_c, mapping)
+            space = stone.StoneSpace(poset)
+            # each point of the chain pulls back to a final segment: its id here
+            pullback_ids = []
+            for pb in _point_traces(space_c, mapping):
+                i = bisect_left(space.points, pb)
+                if i == len(space.points) or space.points[i] != pb:
+                    raise Witness({"reason": "pullback not a final segment",
+                                   "pullback": poset.names_of(pb)})
+                pullback_ids.append(i)
 
             def transfer(elem):
-                m = 0
-                for k, pb in enumerate(pullbacks):
-                    if elem.eval_segment(pb):
-                        m |= 1 << k
-                return m
+                den = stone.denote_elem(space, elem)
+                return sum((den >> i & 1) << k for k, i in enumerate(pullback_ids))
 
             gen_images = [transfer(algebra.gen(poset, p)) for p in range(poset.n)]
             surjective = stone.generates(space_c, gen_images)

@@ -7,7 +7,7 @@ genuinely different routes.
 
 import pytest
 
-from posetalg import corpus
+from posetalg import algebra, corpus
 
 
 @pytest.fixture
@@ -36,6 +36,20 @@ def brute_final_segments(p):
 
 def brute_initial_segments(p):
     return [m for m in range(1 << p.n) if brute_down_closed(p, m)]
+
+
+def every_element(p):
+    """Every element of the algebra over p in every representation: each
+    support with each truth table over its traces, which are counted by
+    scanning the subsets of the support for the up-closed ones."""
+    for support in range(1 << p.n):
+        count = sum(
+            1 for m in range(1 << p.n)
+            if not m & ~support
+            and all(p.up[i] & support & ~m == 0 for i in range(p.n) if m >> i & 1)
+        )
+        for truth in range(1 << count):
+            yield algebra.AlgebraElem(p, support, truth)
 
 
 def brute_denote(p, node):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_max_antichain_size
 from posetalg import algebra, corpus, lattice, stone
-from posetalg.errors import ClosureOverflow, PosetMismatch
+from posetalg.errors import BadArity, ClosureOverflow, PosetMismatch
 from posetalg.poset import (
     Poset,
     antichain,
@@ -334,6 +334,11 @@ def test_max_antichain_chain_pi():
     pis = lattice.enumerate_pi(c, include_unit=False)
     members, exact = lattice.max_antichain(pis, lattice.term_segments(c, pis))
     assert exact and len(members) == 1
+
+
+def test_max_antichain_needs_one_mask_per_item():
+    with pytest.raises(BadArity):
+        lattice.max_antichain([1, 2, 3], [1])
 
 
 def test_max_antichain_rado_products():

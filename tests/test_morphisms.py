@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import subalgebra_closure
+from conftest import every_element, subalgebra_closure
 from posetalg import algebra, corpus, lattice, morphisms, stone, suites
 from posetalg.errors import (
     BadArity,
@@ -17,7 +17,7 @@ from posetalg.errors import (
     PremiseFailed,
     UnknownElement,
 )
-from posetalg.poset import antichain, chain, lex_sum, linear_augmentation
+from posetalg.poset import antichain, chain, iter_bits, lex_sum, linear_augmentation
 
 
 def all_elems(poset):
@@ -145,6 +145,43 @@ def test_apply_on_partial_supports():
                 image = hom.apply(e)
                 assert same(image, hom.apply(reduced)), (source, support, e.truth)
                 assert same(image, hom.apply_via_atoms(e)), (source, support, e.truth)
+
+
+def _join_loop(hom, e):
+    """``Hom.apply`` as it was: the join, in the target, of the image table's
+    entries at e's true traces, the table built on the target's own values."""
+    target = hom.target
+    table = morphisms._image_table(target, hom.gen_image, e.support, e.traces)
+    out = target.zero()
+    for k in iter_bits(e.truth):
+        out = target.join(out, table[k])
+    return out
+
+
+def test_hom_apply_matches_the_join_loop():
+    """Into clopen masks and into a poset algebra, with images on minimal
+    supports (so a poset target's images are lifted onto their union), every
+    element of the corpus posets with n <= 3 maps as the join loop maps it:
+    equal values and equal clopens.  Into a poset algebra, the image of an
+    element on S sits on the union of the supports of the images of S."""
+    rng = random.Random(5)
+    for tgt_poset in (corpus.v3(), antichain(2)):
+        tgt_space = stone.StoneSpace(tgt_poset)
+        for source in corpus.corpus_posets(3):
+            masks = suites._random_monotone_assignment(rng, source, tgt_space)
+            elems = [algebra.support_reduce(stone.elem_from_clopen(tgt_space, m)) for m in masks]
+            to_masks = morphisms.extend_hom(
+                source, morphisms.MaskAlgebraTarget(len(tgt_space.points)), masks)
+            to_elems = morphisms.extend_hom(
+                source, morphisms.PosetAlgebraTarget(tgt_poset), elems)
+            for e in every_element(source):
+                assert to_masks.apply(e) == _join_loop(to_masks, e)
+                got, want = to_elems.apply(e), _join_loop(to_elems, e)
+                union = 0
+                for p in iter_bits(e.support):
+                    union |= elems[p].support
+                assert algebra.equals(got, want) and got.support == union
+                assert stone.denote_elem(tgt_space, got) == stone.denote_elem(tgt_space, want)
 
 
 class _OneForComplement:
@@ -314,6 +351,19 @@ def test_chain_epimorphism_identity_on_chain():
     hom = morphisms.chain_epimorphism(c4, aug)
     for p in range(4):
         assert algebra.equals(hom.apply(algebra.gen(c4, p)), algebra.gen(aug[0], p))
+
+
+@pytest.mark.parametrize("augmentation, error", [
+    ((chain(2), [0, 1]), BadArity),  # one chain id short
+    ((chain(3), [0, 1, 3]), UnknownElement),  # an id past the chain
+], ids=["short-mapping", "id-past-the-chain"])
+def test_chain_epimorphism_checks_its_mapping(v3, monkeypatch, augmentation, error):
+    def no_gen(poset, p):
+        raise AssertionError("a generator was built before the mapping was checked")
+
+    monkeypatch.setattr(algebra, "gen", no_gen)
+    with pytest.raises(error):
+        morphisms.chain_epimorphism(v3, augmentation)
 
 
 def test_chain_epimorphism_collapses_meet_and_join():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import brute_final_segments, brute_initial_segments
 from posetalg import algebra, corpus, lattice, morphisms
 from posetalg.errors import (
+    BadArity,
     CycleError,
     DuplicateName,
     NotAnOrder,
@@ -194,6 +195,12 @@ def test_lex_sum_empty_parts_allowed():
     s = lex_sum(chain(3), [chain(1), antichain(0), chain(1)])
     assert s.n == 2
     assert s.leq("0.0", "2.0")
+
+
+def test_lex_sum_needs_one_part_per_index_element():
+    # an arity mistake, not a size cap
+    with pytest.raises(BadArity):
+        lex_sum(chain(2), [chain(1)])
 
 
 def test_disjoint_sum():

@@ -4,9 +4,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import brute_denote, brute_final_segments, subalgebra_closure
-from posetalg import algebra, corpus, exprs, morphisms, stone
-from posetalg.errors import UnknownElement
+from conftest import brute_denote, brute_final_segments, every_element, subalgebra_closure
+from posetalg import algebra, corpus, exprs, morphisms, stone, suites
+from posetalg.errors import CountMismatch, UnknownElement
 from posetalg.poset import (
     Poset,
     antichain,
@@ -96,6 +96,87 @@ def test_oracle_never_reads_the_algebra_columns(monkeypatch):
     assert transposes == [p.n]
     assert stone.check_binary_subbase(p) is None
     assert transposes == [p.n, p.n]
+
+
+def _point_loop(space, e):
+    """The clopen of e point by point, through the algebra's own trace list:
+    the loop that ``denote_elem`` replaced."""
+    mask = 0
+    for k, seg in enumerate(space.points):
+        if e.eval_segment(seg):
+            mask |= 1 << k
+    return mask
+
+
+def test_oracle_never_reads_the_algebra_traces(monkeypatch):
+    """Once a space and a hom's atoms are built, ``denote_elem`` and the
+    hom's atom route read the space's own points only, and no suite
+    evaluates an element at a trace.
+    Checked on every element of the corpus posets with n <= 3 and on seeded
+    elements on sub-supports of random posets with 5-7 elements, against the
+    old point loop."""
+    cases = [(stone.StoneSpace(p), list(every_element(p))) for p in corpus.corpus_posets(3)]
+    rng = random.Random(11)
+    for n in (5, 6, 7):
+        for _ in range(4):
+            p = random_poset(n, rng.choice((0.2, 0.35, 0.5)), rng.randrange(1 << 30))
+            elems = []
+            for _ in range(40):
+                support = rng.randrange(1 << n)
+                count = algebra.AlgebraElem(p, support, 0).count
+                elems.append(algebra.AlgebraElem(p, support, rng.getrandbits(count)))
+            cases.append((stone.StoneSpace(p), elems))
+    expected = [[_point_loop(space, e) for e in elems] for space, elems in cases]
+    # the identity of each algebra, into its own clopens and into itself
+    homs = []
+    for space, _ in cases:
+        p = space.poset
+        clopens = [stone.v_set(space, i) for i in range(p.n)]
+        gens = [algebra.gen(p, i) for i in range(p.n)]
+        pair = (morphisms.extend_hom(p, morphisms.MaskAlgebraTarget(len(space.points)), clopens),
+                morphisms.extend_hom(p, morphisms.PosetAlgebraTarget(p), gens))
+        for hom in pair:
+            hom.atom_image()  # builds the hom's space and lifts its images
+        homs.append(pair)
+
+    def refuse(*args):
+        raise AssertionError("the oracle read the algebra's enumeration")
+
+    monkeypatch.setattr(Poset, "upsets_of", refuse)
+    monkeypatch.setattr(Poset, "columns", refuse)
+    monkeypatch.setattr(algebra.AlgebraElem, "eval_trace", refuse)
+    for (space, elems), want, (to_clopens, to_self) in zip(cases, expected, homs):
+        assert [stone.denote_elem(space, e) for e in elems] == want
+        assert [to_clopens.apply_via_atoms(e) for e in elems] == want
+        images = [to_self.apply_via_atoms(e) for e in elems]
+        assert all(img.support == space.poset.full for img in images)
+        assert [img.truth for img in images] == want
+
+    # chain-lattice's transfer and every other suite, with only the trace
+    # evaluation refused
+    monkeypatch.undo()
+    monkeypatch.setattr(algebra.AlgebraElem, "eval_trace", refuse)
+    report = suites.run_suite("all", suites.SuiteConfig(max_size=3, samples=40, horizon=4))
+    assert report["cases"] and report["failures"] == 0
+
+
+def test_denote_elem_checks_the_trace_count(v3, monkeypatch):
+    """An element whose count is not the number of point blocks of its
+    support raises CountMismatch, on a sub-support and on the full one."""
+    space = stone.StoneSpace(v3)
+    monkeypatch.setattr(algebra.AlgebraElem, "count", property(lambda e: e.entry[0] + 1))
+    with pytest.raises(CountMismatch) as err:
+        stone.denote_elem(space, algebra.gen(v3, "a"))
+    assert err.value.witness == {"support": ["a"], "count": 3, "blocks": 2}
+    with pytest.raises(CountMismatch) as err:
+        stone.denote_elem(space, stone.elem_from_clopen(space, 1))
+    assert err.value.witness == {"support": ["a", "b", "c"], "count": 6, "blocks": 5}
+
+
+@pytest.mark.parametrize("clopen", [0b11, -1], ids=["past-the-atoms", "negative"])
+def test_denote_and_map_rejects_bits_past_the_atoms(clopen):
+    with pytest.raises(UnknownElement):
+        stone.denote_and_map([1], clopen)
 
 
 def test_signature_blocks_match_per_point_signatures():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from posetalg import corpus, lattice, morphisms, stone, suites
+from posetalg import algebra, corpus, lattice, morphisms, stone, suites
 from posetalg.poset import build_poset, linear_augmentation
 
 
@@ -72,6 +72,25 @@ def test_failures_carry_witnesses():
             case.cases += 3
             1 / 0
     assert len(rec.results) == 2 and rec.cases == 6 and rec.failures == 1
+
+
+def test_a_wrong_trace_count_fails_suite_records(monkeypatch):
+    """With every element's trace count read one too high, the oracle's
+    count check ends each case that denotes an element as a failing record
+    whose witness names the support, not as a traceback."""
+    monkeypatch.setattr(algebra.AlgebraElem, "count", property(lambda e: e.entry[0] + 1))
+    config = suites.SuiteConfig(max_size=3)
+    for name in ("chain-lattice", "relativize", "hom-laws"):
+        report = suites.run_suite(name, config)
+        failed = [r for r in report["results"] if r["verdict"] == "fail"]
+        assert failed and report["failures"] == len(failed), name
+        for record in failed:
+            witness = record["witness"]
+            assert set(witness) == {"support", "count", "blocks"}, name
+            assert witness["count"] == witness["blocks"] + 1, name
+    # the chain closures denote nothing; every corpus case after them fails
+    verdicts = [r["verdict"] for r in suites.run_suite("chain-lattice", config)["results"]]
+    assert verdicts == ["pass"] * 8 + ["fail"] * len(suites._corpus_for(config))
 
 
 # Per suite at SuiteConfig(max_size=4, samples=100, horizon=6): cases,
