@@ -2,20 +2,21 @@
 
 Everything here rides on the universal extension property: an
 order-preserving assignment of the generators into any Boolean algebra
-extends uniquely to a homomorphism.  An element on support S is a truth
-table over the traces of S.  The traces t partition the final segments, so
-the elementary products x_t * -x_{S-t} are disjoint, nonzero and join to 1;
-the extension sends the element to the join of the images of the products
-at its true traces, read from one image table per support.  The tables hold
-ints: into the algebra over a poset, the generator images of a support's
-elements are lifted once onto U, the union of their supports, so an image
-is a truth table over the traces of U, a join is one OR and a result is one
-element on U.  The module
-builds the extension, subposet embeddings, relativizations to a generator,
-the collapse onto a linear augmentation, the two-variable product map,
-lexicographic layering checks, the block decomposition of a directed
-poset along a cofinal chain, and the isomorphism of a finite chain's ray
-algebra with the algebra of the chain minus its minimum.
+extends uniquely to a homomorphism.  A hom names its target by its unit: an
+int for the clopens below that mask, or an element u of a poset algebra for
+the part below u, so a relativization to x_q is one more extension.  An
+element on support S is a truth table over the traces of S.  The traces t
+partition the final segments, so the products x_t * -x_{S-t} are disjoint,
+nonzero and join to 1; the extension sends the element to the join of their
+images at its true traces, the unit met with the images of t and the
+complements of the others, read from one int table per support: over a
+poset, the unit and the images are lifted once onto U, the union of their
+supports.  The module builds the extension, subposet embeddings,
+relativizations to a generator, the collapse onto a linear augmentation,
+the two-variable product map, lexicographic layering checks, the block
+decomposition of a directed poset along a cofinal chain, and the
+isomorphism of a finite chain's ray algebra with the algebra of the chain
+minus its minimum.
 """
 
 from __future__ import annotations
@@ -38,110 +39,61 @@ from .errors import (
 from .poset import chain, iter_bits, lex_sum, product
 
 
-class PosetAlgebraTarget:
-    """Target wrapper: the algebra over a poset, with its Boolean operations."""
-
-    def __init__(self, poset):
-        self.poset = poset
-
-    def zero(self):
-        return algebra.zero(self.poset)
-
-    def one(self):
-        return algebra.one(self.poset)
-
-    def meet(self, a, b):
-        return algebra.meet(a, b)
-
-    def join(self, a, b):
-        return algebra.join(a, b)
-
-    def complement(self, a):
-        return algebra.complement(a)
-
-    def leq(self, a, b):
-        return algebra.leq(a, b)
-
-
-class MaskAlgebraTarget:
-    """Target wrapper: the power set of {0..size-1} as bitmask ints."""
-
-    def __init__(self, size):
-        self.size = size
-        self.full = (1 << size) - 1
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return self.full
-
-    def meet(self, a, b):
-        return a & b
-
-    def join(self, a, b):
-        return a | b
-
-    def complement(self, a):
-        return self.full ^ a
-
-    def leq(self, a, b):
-        return a & ~b == 0
-
-
-def _image_table(target, gen_image, support, traces):
+def _image_table(unit, images, support, traces):
     """Image of x_t * -x_{S-t} for each trace t of ``support`` S, in the order
-    of ``traces`` (the sorted up-sets of S)."""
+    of ``traces`` (the sorted up-sets of S): the int ``unit`` ANDed with the
+    int image of each element of t and the complement of each other one."""
     members = list(iter_bits(support))
-    images = [gen_image[p] for p in members]
-    negated = [target.complement(img) for img in images]
     table = []
     for t in traces:
-        term = target.one()
-        for p, img, neg in zip(members, images, negated):
-            term = target.meet(term, img if t >> p & 1 else neg)
+        term = unit
+        for p in members:
+            term &= images[p] if t >> p & 1 else ~images[p]
         table.append(term)
     return table
 
 
 class Hom:
-    """Homomorphism from the algebra over ``source`` into ``target``.
+    """Homomorphism from the algebra over ``source`` into the one below ``unit``.
 
-    ``gen_image[i]`` is the image of generator i.  The hom computes on ints,
-    as a ``MaskAlgebraTarget`` does.  Into a ``PosetAlgebraTarget``, the
-    images of the elements of a support S are lifted onto U, the union of
-    their supports (under ``algebra.SUPPORT_CAP``, as a meet of them needs),
-    and an image is its table over the traces of U; a result is wrapped once
-    as an element on U.  ``apply`` ORs, over the true traces t of an element
-    on S, the images of the elementary products x_t * -x_{S-t}, read from one
-    int table per support.  ``apply_via_atoms`` is a second route that never
+    An int unit stands for the clopens below that mask, an ``AlgebraElem``
+    for the part of the algebra over ``unit.poset`` below it (``algebra.one``
+    for all of it, x_q for a relativization).  ``gen_image[i]``, the image of
+    generator i, is read as its meet with the unit.  The hom computes on
+    ints: over a poset, the unit and the images of the elements of a support
+    S are lifted onto U, the union of their supports (under
+    ``algebra.SUPPORT_CAP``, as a meet of them needs), and a result is
+    wrapped once as an element on U.  ``apply`` ORs, over the true traces t
+    of an element on S, the images of x_t * -x_{S-t}, read from one int
+    table per support.  ``apply_via_atoms`` is a second route that never
     reads those tables: it ORs the images of the atoms in the element's
     clopen instead.
     """
 
-    def __init__(self, source, target, gen_image):
+    def __init__(self, source, unit, gen_image):
         self.source = source
-        self.target = target
+        self.unit = unit
         self.gen_image = list(gen_image)
-        self._poset = target.poset if isinstance(target, PosetAlgebraTarget) else None
-        if self._poset is not None and any(img.poset is not self._poset for img in self.gen_image):
-            raise PosetMismatch("generator image over another poset")
+        self._poset = None if isinstance(unit, int) else unit.poset
+        if self._poset is not None and any(
+                getattr(img, "poset", None) is not self._poset for img in self.gen_image):
+            raise PosetMismatch("generator image not over the unit's poset")
         self._tables = {}
         self._space = None
         self._atoms = None
 
     def _ints(self, support):
-        """(U, int target, images): the images of the elements of ``support``
-        as ints of a ``MaskAlgebraTarget``, indexed by source id; into a poset
-        algebra, their tables lifted onto U, the union of their supports."""
+        """(U, unit, images): the unit and the images of the elements of
+        ``support`` as ints, the images indexed by source id; over a poset,
+        their tables lifted onto U, the union of their supports."""
         if self._poset is None:
-            return None, self.target, self.gen_image
+            return None, self.unit, self.gen_image
         ids = list(iter_bits(support))
-        images = [self.gen_image[p] for p in ids]
-        union = reduce(or_, [img.support for img in images], 0)
+        elems = [self.unit] + [self.gen_image[p] for p in ids]
+        union = reduce(or_, [e.support for e in elems])
         cols, full = algebra._columns(self._poset, union)
-        lifted = dict(zip(ids, [algebra._lift(img, union, cols, full) for img in images]))
-        return union, MaskAlgebraTarget(full.bit_length()), lifted
+        unit, *lifted = [algebra._lift(e, union, cols, full) for e in elems]
+        return union, unit, dict(zip(ids, lifted))
 
     def _wrap(self, union, m):
         """The target value of the int ``m`` over the traces of ``union``."""
@@ -154,9 +106,9 @@ class Hom:
             raise PosetMismatch("element not over the source poset")
         got = self._tables.get(e.support)
         if got is None:
-            union, ints, images = self._ints(e.support)
+            union, unit, images = self._ints(e.support)
             got = self._tables[e.support] = (
-                union, _image_table(ints, images, e.support, e.traces))
+                union, _image_table(unit, images, e.support, e.traces))
         union, table = got
         out = 0
         for k in iter_bits(e.truth):
@@ -170,15 +122,15 @@ class Hom:
 
     def _atom_ints(self):
         """(U, the int image of each atom of the source algebra, one per
-        final segment): the meet of the images of the segment's elements and
-        the complements of the others."""
+        final segment): the unit met with the images of the segment's
+        elements and the complements of the others."""
         if self._atoms is None:
-            union, ints, images = self._ints(self.source.full)
+            union, unit, images = self._ints(self.source.full)
             atoms = []
             for seg in self.space().points:
-                term = ints.full
+                term = unit
                 for p in range(self.source.n):
-                    term &= images[p] if seg >> p & 1 else ints.full ^ images[p]
+                    term &= images[p] if seg >> p & 1 else ~images[p]
                 atoms.append(term)
             self._atoms = union, atoms
         return self._atoms
@@ -194,21 +146,27 @@ class Hom:
         return self._wrap(union, stone.denote_and_map(atoms, stone.denote_elem(self.space(), e)))
 
 
-def extend_hom(source, target, gen_image):
-    """Extension of an order-preserving generator assignment.
+def extend_hom(source, unit, gen_image):
+    """Extension of an order-preserving generator assignment into the
+    algebra below ``unit`` (see ``Hom``).
 
-    ``gen_image[p]`` is the target element of source id p.  Raises BadArity
-    unless there is one image per source element, and NotOrderPreserving
-    with a witnessing pair if the assignment is not order-preserving.
+    ``gen_image[p]`` is the image of source id p.  Raises BadArity unless
+    there is one image per source element, UnknownElement for an int image
+    that is negative or not below an int unit, and NotOrderPreserving with
+    a witnessing pair if the assignment is not order-preserving.
     """
     images = list(gen_image)
     if len(images) != source.n:
         raise BadArity(f"{len(images)} generator images for {source.n} elements")
+    on_ints = isinstance(unit, int)
+    if on_ints and any(img < 0 or img & ~unit for img in images):
+        raise UnknownElement(f"an image is negative or not below the unit {unit:#x}")
     for p in range(source.n):
         for q in iter_bits(source.up[p] & ~(1 << p)):
-            if not target.leq(images[p], images[q]):
+            a, b = images[p], images[q]
+            if (a & ~b) if on_ints else not algebra.leq(a, b):
                 raise NotOrderPreserving(source.names[p], source.names[q])
-    return Hom(source, target, images)
+    return Hom(source, unit, images)
 
 
 # -- subposet embedding ---------------------------------------------------------
@@ -233,31 +191,20 @@ def subposet_embedding(sub, ambient, inclusion):
                     f"comparability of {sub.names[a]!r},{sub.names[b]!r} not preserved"
                 )
     gens = [algebra.product_elem(ambient, 1 << i) for i in incl]
-    return extend_hom(sub, PosetAlgebraTarget(ambient), gens)
+    return extend_hom(sub, algebra.one(ambient), gens)
 
 
 # -- relativization --------------------------------------------------------------
 
 
-class Relativization:
-    """Algebra over {p : p not above q} mapped onto the part below x_q."""
-
-    def __init__(self, sub, sub_ids, unit, hom):
-        self.sub = sub
-        self.sub_ids = sub_ids  # sub id -> ambient id
-        self.unit = unit  # x_q, the unit of the relative algebra
-        self.hom = hom  # embedding of F(sub) into the ambient algebra
-
-    def apply(self, y):
-        return algebra.meet(self.hom.apply(y), self.unit)
-
-
 def relativize(poset, q):
+    """(hom, ids): the algebra over the elements not above q (``hom.source``,
+    whose id a is ``ids[a]`` in ``poset``) onto the part below x_q, the
+    hom's unit, each generator sent to its own generator met with x_q."""
     qid = poset.id(q)
-    keep = poset.full & ~poset.upset(1 << qid)
-    sub, ids = poset.induced(keep)
-    hom = subposet_embedding(sub, poset, ids)
-    return Relativization(sub, ids, algebra.gen(poset, qid), hom)
+    sub, ids = poset.induced(poset.full & ~poset.upset(1 << qid))
+    embedding = subposet_embedding(sub, poset, ids)
+    return Hom(sub, algebra.gen(poset, qid), embedding.gen_image), ids
 
 
 # -- chain epimorphism ------------------------------------------------------------
@@ -276,8 +223,7 @@ def chain_epimorphism(poset, augmentation):
         raise BadArity(f"{len(mapping)} chain ids for {poset.n} elements")
     if not all(0 <= i < c.n for i in mapping):
         raise UnknownElement("chain id out of range")
-    target = PosetAlgebraTarget(c)
-    return extend_hom(poset, target, [algebra.gen(c, mapping[p]) for p in range(poset.n)])
+    return extend_hom(poset, algebra.one(c), [algebra.gen(c, mapping[p]) for p in range(poset.n)])
 
 
 # -- the product map --------------------------------------------------------------
@@ -296,7 +242,6 @@ class EMap:
         self.left = left
         self.right = right
         self.prod, self.index = product(left, right)
-        self.target = PosetAlgebraTarget(self.prod)
         self._column_homs = {}
         self._row_homs = {}
 
@@ -310,7 +255,7 @@ class EMap:
             images = [
                 algebra.gen(self.prod, self.index[(p, qid)]) for p in range(self.left.n)
             ]
-            hom = extend_hom(self.left, self.target, images)
+            hom = extend_hom(self.left, algebra.one(self.prod), images)
             self._column_homs[qid] = hom
         return hom
 
@@ -320,7 +265,7 @@ class EMap:
         hom = self._row_homs.get(key)
         if hom is None:
             images = [self.column_hom(q).apply(a) for q in range(self.right.n)]
-            hom = extend_hom(self.right, self.target, images)
+            hom = extend_hom(self.right, algebra.one(self.prod), images)
             self._row_homs[key] = hom
         return hom
 
@@ -509,7 +454,7 @@ def interval_algebra_check(linear):
     rest = chain(n - 1)  # the chain minus its minimum
     gen_ray = rays[:0:-1]  # x_k -> rays[n-1-k]
     try:
-        hom = extend_hom(rest, MaskAlgebraTarget(n), gen_ray)
+        hom = extend_hom(rest, universe, gen_ray)
     except NotOrderPreserving:
         return False
     atoms = hom.atom_image()

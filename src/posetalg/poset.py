@@ -236,8 +236,9 @@ class Poset:
 
     def upset(self, mask):
         """Final segment generated by a mask of elements."""
-        if not isinstance(mask, int):  # _check_mask inline: the suites call this hot
-            _check_mask(mask)
+        # the mask checks behind one test inline: the suites call this hot
+        if not isinstance(mask, int) or mask & ~self.full:
+            self._check_support(_check_mask(mask))
         out = 0
         for i in iter_bits(mask):
             out |= self.up[i]
@@ -245,7 +246,7 @@ class Poset:
 
     def minimals(self, sub=None):
         """Minimal members of a mask (default: of the whole poset)."""
-        m = self.full if sub is None else _check_mask(sub)
+        m = self.full if sub is None else self._check_support(_check_mask(sub))
         out = 0
         for i in iter_bits(m):
             if self.down[i] & m == 1 << i:
@@ -253,7 +254,7 @@ class Poset:
         return out
 
     def maximals(self, sub=None):
-        m = self.full if sub is None else _check_mask(sub)
+        m = self.full if sub is None else self._check_support(_check_mask(sub))
         out = 0
         for i in iter_bits(m):
             if self.up[i] & m == 1 << i:

@@ -14,6 +14,7 @@ from posetalg.errors import (
     NotCofinal,
     NotDirected,
     NotOrderPreserving,
+    PosetMismatch,
     PremiseFailed,
     UnknownElement,
 )
@@ -43,7 +44,7 @@ def in_product_lattice(e):
 
 def test_identity_extension_fixes_everything(v3):
     gens = [algebra.gen(v3, p) for p in range(v3.n)]
-    hom = morphisms.extend_hom(v3, morphisms.PosetAlgebraTarget(v3), gens)
+    hom = morphisms.extend_hom(v3, algebra.one(v3), gens)
     _, elems = all_elems(v3)
     assert len(elems) == 32
     for e in elems:
@@ -52,17 +53,15 @@ def test_identity_extension_fixes_everything(v3):
 
 def test_collapse_to_one():
     c2 = chain(2)
-    target = morphisms.PosetAlgebraTarget(c2)
-    hom = morphisms.extend_hom(c2, target, [algebra.one(c2), algebra.one(c2)])
+    hom = morphisms.extend_hom(c2, algebra.one(c2), [algebra.one(c2), algebra.one(c2)])
     assert algebra.is_zero(hom.apply(algebra.complement(algebra.gen(c2, 0))))
 
 
 def test_not_order_preserving_rejected(v3):
     c2 = chain(2)
-    target = morphisms.PosetAlgebraTarget(c2)
     images = [algebra.gen(c2, 1), algebra.gen(c2, 1), algebra.gen(c2, 0)]  # a, b, c
     with pytest.raises(NotOrderPreserving) as err:
-        morphisms.extend_hom(v3, target, images)
+        morphisms.extend_hom(v3, algebra.one(c2), images)
     assert err.value.witness in ((("a"), ("c")), (("b"), ("c")))
 
 
@@ -73,14 +72,29 @@ def test_not_order_preserving_rejected(v3):
 ], ids=["too-few-chain2", "too-few-antichain2", "too-many-antichain1"])
 def test_extend_hom_needs_one_image_per_element(source, images):
     with pytest.raises(BadArity):
-        morphisms.extend_hom(source, morphisms.MaskAlgebraTarget(2), images)
+        morphisms.extend_hom(source, 3, images)
+
+
+@pytest.mark.parametrize("unit, images", [
+    (3, [8]),  # a bit past the unit, which used to map x_0 to 0
+    (3, [-1]),  # negative, which used to map x_0 to 3
+    (0b101, [0b010]),  # a bit inside the unit's width but outside the unit
+], ids=["past-the-unit", "negative", "hole-in-the-unit"])
+def test_extend_hom_rejects_int_images_outside_the_unit(unit, images):
+    with pytest.raises(UnknownElement):
+        morphisms.extend_hom(antichain(1), unit, images)
+
+
+def test_extend_hom_rejects_an_image_off_the_units_poset(v3):
+    for images in ([3], [algebra.gen(chain(1), 0)]):  # an int, an element of another poset
+        with pytest.raises(PosetMismatch):
+            morphisms.extend_hom(antichain(1), algebra.one(v3), images)
 
 
 def test_hom_laws_exhaustive_small(v3):
     c2 = chain(2)
-    target = morphisms.PosetAlgebraTarget(c2)
     hom = morphisms.extend_hom(
-        v3, target,
+        v3, algebra.one(c2),
         [algebra.gen(c2, 0), algebra.gen(c2, 0), algebra.gen(c2, 1)],  # a, b, c
     )
     space, elems = all_elems(v3)
@@ -107,9 +121,8 @@ def test_hom_laws_exhaustive_small(v3):
 
 def test_atom_images_partition_target(v3):
     c2 = chain(2)
-    target = morphisms.PosetAlgebraTarget(c2)
     hom = morphisms.extend_hom(
-        v3, target,
+        v3, algebra.one(c2),
         [algebra.gen(c2, 0), algebra.gen(c2, 1), algebra.one(c2)],  # a, b, c
     )
     atoms = hom.atom_image()
@@ -130,9 +143,8 @@ def test_apply_on_partial_supports():
     for source in corpus.corpus_posets(4):
         masks = suites._random_monotone_assignment(rng, source, tgt_space)
         homs = [
-            (morphisms.extend_hom(source, morphisms.MaskAlgebraTarget(len(tgt_space.points)),
-                                  masks), operator.eq),
-            (morphisms.extend_hom(source, morphisms.PosetAlgebraTarget(tgt_poset),
+            (morphisms.extend_hom(source, tgt_space.full, masks), operator.eq),
+            (morphisms.extend_hom(source, algebra.one(tgt_poset),
                                   [stone.elem_from_clopen(tgt_space, m) for m in masks]),
              algebra.equals),
         ]
@@ -148,13 +160,23 @@ def test_apply_on_partial_supports():
 
 
 def _join_loop(hom, e):
-    """``Hom.apply`` as it was: the join, in the target, of the image table's
-    entries at e's true traces, the table built on the target's own values."""
-    target = hom.target
-    table = morphisms._image_table(target, hom.gen_image, e.support, e.traces)
-    out = target.zero()
-    for k in iter_bits(e.truth):
-        out = target.join(out, table[k])
+    """``Hom.apply`` as it was: the join, in the target, of the images of
+    x_t * -x_{S-t} at e's true traces, each the unit met with the images or
+    their complements, on the target's own values: ints below an int unit,
+    elements through ``algebra.meet``/``join``/``complement`` otherwise."""
+    unit = hom.unit
+    if isinstance(unit, int):
+        meet, join, complement, out = operator.and_, operator.or_, unit.__xor__, 0
+    else:
+        meet, join, complement = algebra.meet, algebra.join, algebra.complement
+        out = algebra.zero(unit.poset)
+    for k, t in enumerate(e.traces):
+        if e.truth >> k & 1:
+            term = unit
+            for p in iter_bits(e.support):
+                img = hom.gen_image[p]
+                term = meet(term, img if t >> p & 1 else complement(img))
+            out = join(out, term)
     return out
 
 
@@ -170,10 +192,8 @@ def test_hom_apply_matches_the_join_loop():
         for source in corpus.corpus_posets(3):
             masks = suites._random_monotone_assignment(rng, source, tgt_space)
             elems = [algebra.support_reduce(stone.elem_from_clopen(tgt_space, m)) for m in masks]
-            to_masks = morphisms.extend_hom(
-                source, morphisms.MaskAlgebraTarget(len(tgt_space.points)), masks)
-            to_elems = morphisms.extend_hom(
-                source, morphisms.PosetAlgebraTarget(tgt_poset), elems)
+            to_masks = morphisms.extend_hom(source, tgt_space.full, masks)
+            to_elems = morphisms.extend_hom(source, algebra.one(tgt_poset), elems)
             for e in every_element(source):
                 assert to_masks.apply(e) == _join_loop(to_masks, e)
                 got, want = to_elems.apply(e), _join_loop(to_elems, e)
@@ -182,19 +202,6 @@ def test_hom_apply_matches_the_join_loop():
                     union |= elems[p].support
                 assert algebra.equals(got, want) and got.support == union
                 assert stone.denote_elem(tgt_space, got) == stone.denote_elem(tgt_space, want)
-
-
-class _OneForComplement:
-    """A target whose complement answers one(), to corrupt the image tables."""
-
-    def __init__(self, target):
-        self._target = target
-
-    def __getattr__(self, name):
-        return getattr(self._target, name)
-
-    def complement(self, a):
-        return self._target.one()
 
 
 @pytest.mark.parametrize("suite, failures, first", [
@@ -216,8 +223,12 @@ def test_corrupt_image_table_fails_suite_records(monkeypatch, suite, failures, f
     table shows up as failing records: these counts and first witnesses pin
     where each case ends early."""
     build = morphisms._image_table
-    monkeypatch.setattr(morphisms, "_image_table",
-                        lambda target, *args: build(_OneForComplement(target), *args))
+
+    def corrupt(unit, images, support, traces):
+        # each term meets only the images at its trace, never a complement
+        return [build(unit, images, t, [t])[0] for t in traces]
+
+    monkeypatch.setattr(morphisms, "_image_table", corrupt)
     report = suites.run_suite(suite, suites.SuiteConfig())
     counterexample = dict(report["firstCounterexample"])
     counterexample.pop("elapsed_ms")
@@ -277,23 +288,25 @@ def test_not_an_embedding(v3):
 
 
 def test_relativize_v3_at_top(v3):
-    rel = morphisms.relativize(v3, "c")
-    assert sorted(rel.sub.names) == ["a", "b"]
+    rel, ids = morphisms.relativize(v3, "c")
+    assert sorted(rel.source.names) == ["a", "b"]
+    assert [v3.names[i] for i in ids] == list(rel.source.names)
     space = stone.StoneSpace(v3)
     vq = stone.denote_elem(space, rel.unit)
-    sub_space, sub_elems = all_elems(rel.sub)
+    assert vq == stone.v_set(space, "c")
+    sub_space, sub_elems = all_elems(rel.source)
     assert len(sub_elems) == 16
     images = {stone.denote_elem(space, rel.apply(y)) for y in sub_elems}
     assert len(images) == 16
     assert all(m & ~vq == 0 for m in images)
-    assert stone.denote_elem(space, rel.apply(algebra.one(rel.sub))) == vq
+    assert stone.denote_elem(space, rel.apply(algebra.one(rel.source))) == vq
 
 
 def test_relativize_antichain_min():
     a2 = antichain(2)
-    rel = morphisms.relativize(a2, "0")
-    assert rel.sub.names == ("1",)
-    _, sub_elems = all_elems(rel.sub)
+    rel, _ = morphisms.relativize(a2, "0")
+    assert rel.source.names == ("1",)
+    _, sub_elems = all_elems(rel.source)
     space = stone.StoneSpace(a2)
     images = {stone.denote_elem(space, rel.apply(y)) for y in sub_elems}
     assert len(images) == 4
@@ -301,16 +314,16 @@ def test_relativize_antichain_min():
 
 def test_relativize_chain_sends_generator():
     c2 = chain(2)
-    rel = morphisms.relativize(c2, 1)
-    assert rel.sub.names == ("0",)
-    y = algebra.gen(rel.sub, "0")
+    rel, _ = morphisms.relativize(c2, 1)
+    assert rel.source.names == ("0",)
+    y = algebra.gen(rel.source, "0")
     expected = algebra.meet(algebra.gen(c2, 0), algebra.gen(c2, 1))
     assert algebra.equals(rel.apply(y), expected)
 
 
 def test_relativize_respects_relative_operations(v3):
-    rel = morphisms.relativize(v3, "c")
-    _, sub_elems = all_elems(rel.sub)
+    rel, _ = morphisms.relativize(v3, "c")
+    _, sub_elems = all_elems(rel.source)
     sample = sub_elems[::3]
     for y1 in sample:
         for y2 in sample:
@@ -328,6 +341,32 @@ def test_relativize_respects_relative_operations(v3):
             rel.apply(algebra.complement(y)),
             algebra.meet(rel.unit, algebra.complement(rel.apply(y))),
         )
+
+
+def test_relativize_applies_without_a_meet(monkeypatch):
+    """A relativization is a hom whose unit is x_q, so applying it meets
+    nothing: with ``algebra.meet`` refused, every element of every
+    relativization of the corpus posets with n <= 3 maps, by denotation, as
+    the embedding's image met with x_q (the reference, computed first)."""
+    cases = []
+    for p in corpus.corpus_posets(3):
+        space = stone.StoneSpace(p)
+        for q in range(p.n):
+            rel, ids = morphisms.relativize(p, q)
+            embedding = morphisms.subposet_embedding(rel.source, p, ids)
+            elems = list(every_element(rel.source))
+            want = [stone.denote_elem(space, algebra.meet(embedding.apply(y), rel.unit))
+                    for y in elems]
+            cases.append((space, rel, elems, want))
+    assert len(cases) == 20
+
+    def refuse(*args):
+        raise AssertionError("a relativization met its result with x_q")
+
+    monkeypatch.setattr(algebra, "meet", refuse)
+    for space, rel, elems, want in cases:
+        assert [stone.denote_elem(space, rel.apply(y)) for y in elems] == want
+        assert [stone.denote_elem(space, rel.apply_via_atoms(y)) for y in elems] == want
 
 
 # -- chain epimorphism ----------------------------------------------------------------------

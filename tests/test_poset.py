@@ -77,6 +77,11 @@ OUT_OF_RANGE = {
     "AlgebraElem": lambda p: algebra.AlgebraElem(p, 0b1001, 1),
     "product_elem": lambda p: algebra.product_elem(p, 0b1000),
     "induced": lambda p: p.induced(0b1100),
+    "upset": lambda p: p.upset(1 << 3),
+    "upset-negative": lambda p: p.upset(-1),
+    "minimals": lambda p: p.minimals(1 << 5),
+    "maximals-negative": lambda p: p.maximals(-2),
+    "is_zero_syntactic": lambda p: algebra.is_zero_syntactic(p, 1 << 4, 1),
 }
 
 

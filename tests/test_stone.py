@@ -133,8 +133,8 @@ def test_oracle_never_reads_the_algebra_traces(monkeypatch):
         p = space.poset
         clopens = [stone.v_set(space, i) for i in range(p.n)]
         gens = [algebra.gen(p, i) for i in range(p.n)]
-        pair = (morphisms.extend_hom(p, morphisms.MaskAlgebraTarget(len(space.points)), clopens),
-                morphisms.extend_hom(p, morphisms.PosetAlgebraTarget(p), gens))
+        pair = (morphisms.extend_hom(p, space.full, clopens),
+                morphisms.extend_hom(p, algebra.one(p), gens))
         for hom in pair:
             hom.atom_image()  # builds the hom's space and lifts its images
         homs.append(pair)

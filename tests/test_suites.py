@@ -80,7 +80,8 @@ def test_a_wrong_trace_count_fails_suite_records(monkeypatch):
     whose witness names the support, not as a traceback."""
     monkeypatch.setattr(algebra.AlgebraElem, "count", property(lambda e: e.entry[0] + 1))
     config = suites.SuiteConfig(max_size=3)
-    for name in ("chain-lattice", "relativize", "hom-laws"):
+    for name in ("chain-lattice", "emap", "product-gen", "relativize", "hom-laws",
+                 "h-construction", "interval-algebra"):
         report = suites.run_suite(name, config)
         failed = [r for r in report["results"] if r["verdict"] == "fail"]
         assert failed and report["failures"] == len(failed), name
@@ -160,7 +161,7 @@ def test_point_traces_match_the_bit_loops():
 
         space = stone.StoneSpace(p)
         for q in range(p.n):
-            sub_ids = morphisms.relativize(p, q).sub_ids
+            _, sub_ids = morphisms.relativize(p, q)
             expected = [sum(1 << si for si, pid in enumerate(sub_ids) if seg >> pid & 1)
                         for seg in space.points]
             assert suites._point_traces(space, sub_ids) == expected
