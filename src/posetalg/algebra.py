@@ -64,6 +64,8 @@ class AlgebraElem:
     The support's cache entry is read if the poset has one, else its columns
     are built under ``SUPPORT_CAP``: an element sits above the cap only on a
     support already enumerated, as ``stone.StoneSpace`` enumerates the full one.
+    A truth table that is negative or has a bit at or past the support's
+    trace count raises UnknownElement.
     """
 
     __slots__ = ("poset", "support", "truth", "entry", "_ckey")
@@ -73,6 +75,10 @@ class AlgebraElem:
         if entry is None:
             _check_cap(support)
             entry = poset._entry(support, False)
+        # one shift: a negative table shifts to -1
+        if truth >> entry[0]:
+            raise UnknownElement(
+                f"truth table {truth:#x} is negative or has bits past its {entry[0]} traces")
         self.poset = poset
         self.support = support
         self.truth = truth
@@ -233,7 +239,7 @@ def join(e1, e2):
 
 
 def complement(e):
-    full = (1 << e.count) - 1
+    full = (1 << e.entry[0]) - 1
     return AlgebraElem(e.poset, e.support, e.truth ^ full)
 
 

@@ -97,8 +97,9 @@ def to_elem(poset, node):
 
     One pass collects the union support of the tree's variables; a second
     evaluates the tree as ``&``/``|``/``^`` on the bit columns of that
-    support, so no intermediate element is built.  A tree too deep to
-    evaluate raises ParseError."""
+    support, so no intermediate element is built.  A node that is no tuple
+    of one of the shapes in the module docstring, or a tree too deep to
+    evaluate, raises ParseError."""
     try:
         support = _support(poset, node)
         cols, full = algebra._columns(poset, support)
@@ -109,20 +110,26 @@ def to_elem(poset, node):
 
 
 def _support(poset, node):
-    kind = node[0]
-    if kind == "var":
-        return 1 << poset.id(node[1])
-    if kind == "const":
-        return 0
-    if kind == "not":
-        return _support(poset, node[1])
-    if kind in ("and", "or"):
-        return _support(poset, node[1]) | _support(poset, node[2])
+    # a node is a tuple of one of the module docstring's shapes, unpacked
+    # whole, so a short, long or non-tuple node raises here
+    size = len(node) if node.__class__ is tuple else 0
+    if size == 3:
+        kind, a, b = node
+        if kind == "and" or kind == "or":
+            return _support(poset, a) | _support(poset, b)
+    elif size == 2:
+        kind, a = node
+        if kind == "var":
+            return 1 << poset.id(a)
+        if kind == "not":
+            return _support(poset, a)
+        if kind == "const":
+            return 0
     raise ParseError(f"bad node {node!r}")
 
 
 def _eval(poset, cols, full, node):
-    # _support has already rejected any other node kind
+    # _support has already rejected any other node shape
     kind = node[0]
     if kind == "var":
         return cols[poset.id(node[1])]

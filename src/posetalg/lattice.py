@@ -15,8 +15,8 @@ from __future__ import annotations
 from collections import deque
 
 from . import algebra
-from .errors import BadArity, ClosureOverflow, EnumerationOverflow, PosetMismatch
-from .poset import iter_bits, popcount, transpose
+from .errors import BadArity, ClosureOverflow, EnumerationOverflow, PosetMismatch, UnknownElement
+from .poset import _byte_tables, _gather, iter_bits, popcount, transpose
 
 # the fixed size caps: antichains one enumeration lists, elements one closure holds
 ANTICHAIN_CAP = 1 << 20
@@ -27,11 +27,12 @@ LATTICE_CLOSURE_CAP = 1 << 14
 
 
 def pi_leq_masks(poset, s, t):
-    """x_s <= x_t: every q in t has some p in s with p <= q."""
-    for q in iter_bits(t):
-        if not poset.down[q] & s:
-            return False
-    return True
+    """x_s <= x_t: every q in t has some p in s with p <= q, that is, t lies
+    in the final segment that s generates.  A mask with a bit outside the
+    poset, a negative one included, raises UnknownElement."""
+    if t & ~poset.full:
+        raise UnknownElement(f"mask {t:#x} has bits outside the {poset.n} elements")
+    return not t & ~poset.upset(s)
 
 
 def _term_str(poset, sigma):
@@ -217,21 +218,17 @@ def _subset_rows(queries, masks):
     """Yield for each query the row of every j with the query a subset of masks[j].
 
     The columns of the masks (column k holds the items j having bit k) are one
-    ``transpose``, and a row is the AND of the columns of its query's bits; a
-    bit past every mask has an empty column.  Rows come one at a time, so a
-    caller that only scans them never holds the whole matrix.
+    ``transpose``, and a row is the AND of the columns of its query's bits:
+    the complement of the OR of their complements, which ``_gather`` reads
+    from the byte tables of the complemented columns.  A bit past every mask
+    has an empty column.  Rows come one at a time, so a caller that only
+    scans them never holds the whole matrix.
     """
     width = max(masks, default=0).bit_length()
-    cols = transpose(masks, width)
     everything = (1 << len(masks)) - 1
+    tables = _byte_tables([everything ^ col for col in transpose(masks, width)])
     for q in queries:
-        if q >> width:
-            yield 0
-            continue
-        row = everything
-        for k in iter_bits(q):
-            row &= cols[k]
-        yield row
+        yield 0 if q >> width else everything ^ _gather(tables, q)
 
 
 def _strict_less_rows(masks):

@@ -36,7 +36,7 @@ from .errors import (
     PremiseFailed,
     UnknownElement,
 )
-from .poset import chain, iter_bits, lex_sum, product
+from .poset import _byte_tables, _gather, chain, iter_bits, lex_sum, product
 
 
 def _image_table(unit, images, support, traces):
@@ -64,10 +64,10 @@ class Hom:
     S are lifted onto U, the union of their supports (under
     ``algebra.SUPPORT_CAP``, as a meet of them needs), and a result is
     wrapped once as an element on U.  ``apply`` ORs, over the true traces t
-    of an element on S, the images of x_t * -x_{S-t}, read from one int
-    table per support.  ``apply_via_atoms`` is a second route that never
-    reads those tables: it ORs the images of the atoms in the element's
-    clopen instead.
+    of an element on S, the images of x_t * -x_{S-t}: one ``_gather`` over
+    its truth table, from the byte tables of one int table per support.
+    ``apply_via_atoms`` is a second route that never reads those tables: it
+    ORs the images of the atoms in the element's clopen instead.
     """
 
     def __init__(self, source, unit, gen_image):
@@ -108,12 +108,9 @@ class Hom:
         if got is None:
             union, unit, images = self._ints(e.support)
             got = self._tables[e.support] = (
-                union, _image_table(unit, images, e.support, e.traces))
-        union, table = got
-        out = 0
-        for k in iter_bits(e.truth):
-            out |= table[k]
-        return self._wrap(union, out)
+                union, _byte_tables(_image_table(unit, images, e.support, e.traces)))
+        union, tables = got
+        return self._wrap(union, _gather(tables, e.truth))
 
     def space(self):
         if self._space is None:
@@ -153,7 +150,8 @@ def extend_hom(source, unit, gen_image):
     ``gen_image[p]`` is the image of source id p.  Raises BadArity unless
     there is one image per source element, UnknownElement for an int image
     that is negative or not below an int unit, and NotOrderPreserving with
-    a witnessing pair if the assignment is not order-preserving.
+    a witnessing pair if the assignment is not order-preserving below the
+    unit: p <= q needs the meet of p's image with the unit below q's image.
     """
     images = list(gen_image)
     if len(images) != source.n:
@@ -162,8 +160,10 @@ def extend_hom(source, unit, gen_image):
     if on_ints and any(img < 0 or img & ~unit for img in images):
         raise UnknownElement(f"an image is negative or not below the unit {unit:#x}")
     for p in range(source.n):
-        for q in iter_bits(source.up[p] & ~(1 << p)):
-            a, b = images[p], images[q]
+        above = source.up[p] & ~(1 << p)
+        a = images[p] if on_ints or not above else algebra.meet(images[p], unit)
+        for q in iter_bits(above):
+            b = images[q]
             if (a & ~b) if on_ints else not algebra.leq(a, b):
                 raise NotOrderPreserving(source.names[p], source.names[q])
     return Hom(source, unit, images)
@@ -176,9 +176,14 @@ def subposet_embedding(sub, ambient, inclusion):
     """Embedding of the algebra over ``sub`` into the one over ``ambient``.
 
     ``inclusion[a]`` is the ambient id of sub id a; it must be an order
-    embedding (comparabilities agree in both directions).
+    embedding (comparabilities agree in both directions).  Raises BadArity
+    unless there is one ambient id per sub element.  Generator a goes to the
+    generator of ``inclusion[a]``; the checked embedding makes that
+    assignment order-preserving, so it extends with no order check.
     """
     incl = list(inclusion)
+    if len(incl) != sub.n:
+        raise BadArity(f"{len(incl)} ambient ids for {sub.n} elements")
     # a name is no id: comparing it with an int raises TypeError
     if not all(0 <= i < ambient.n for i in incl):
         raise UnknownElement("inclusion id out of range")
@@ -191,7 +196,7 @@ def subposet_embedding(sub, ambient, inclusion):
                     f"comparability of {sub.names[a]!r},{sub.names[b]!r} not preserved"
                 )
     gens = [algebra.product_elem(ambient, 1 << i) for i in incl]
-    return extend_hom(sub, algebra.one(ambient), gens)
+    return Hom(sub, algebra.one(ambient), gens)
 
 
 # -- relativization --------------------------------------------------------------
@@ -200,7 +205,8 @@ def subposet_embedding(sub, ambient, inclusion):
 def relativize(poset, q):
     """(hom, ids): the algebra over the elements not above q (``hom.source``,
     whose id a is ``ids[a]`` in ``poset``) onto the part below x_q, the
-    hom's unit, each generator sent to its own generator met with x_q."""
+    hom's unit, each generator sent to its own generator met with x_q: the
+    generator images of the subposet embedding, under a new unit."""
     qid = poset.id(q)
     sub, ids = poset.induced(poset.full & ~poset.upset(1 << qid))
     embedding = subposet_embedding(sub, poset, ids)

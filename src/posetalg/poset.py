@@ -42,6 +42,49 @@ def popcount(mask):
     return mask.bit_count()
 
 
+# the byte-table kernel is private, as perfbench's tracer times every public
+# function of a module as a span, which costs more than one lookup
+def _byte_tables(rows):
+    """The tables that ``_gather`` reads to OR ``rows`` over a mask.
+
+    Table k lists, for each byte b, the OR of ``rows[8k + j]`` over the set
+    bits j of b (the "four Russians" tables of Arlazarov, Dinic, Kronrod and
+    Faradzev), each built by doubling: the entries so far, then each of them
+    ORed with the next row.  Past ``MAX_ELEMENTS`` rows the tables would take
+    32 times the rows' memory, so the rows themselves stand in, as a tuple,
+    and ``_gather`` ORs them one set bit at a time.
+    """
+    if len(rows) > MAX_ELEMENTS:
+        return tuple(rows)
+    tables = []
+    for start in range(0, len(rows) or 1, 8):
+        tab = [0]
+        for row in rows[start:start + 8]:
+            tab += [x | row for x in tab]
+        tables.append(tab)
+    return tables
+
+
+def _gather(tables, mask):
+    """OR of the rows of ``_byte_tables`` at the set bits of ``mask``, one
+    lookup per byte of it; the mask must have no bit past the last row and
+    none below 0."""
+    if tables.__class__ is tuple:
+        out = 0
+        for i in iter_bits(mask):
+            out |= tables[i]
+        return out
+    if mask < 256:
+        return tables[0][mask]
+    out = 0
+    for tab in tables:
+        if not mask:
+            break
+        out |= tab[mask & 255]
+        mask >>= 8
+    return out
+
+
 # rows that transpose formats into one string, so its temporaries stay about
 # this many times ``width`` characters however many rows there are
 _TRANSPOSE_BLOCK = 4096
@@ -156,7 +199,7 @@ class Poset:
     """
 
     __slots__ = (
-        "names", "up", "down", "full", "_ids", "_cache",
+        "names", "up", "down", "full", "_ids", "_cache", "_tables",
         "_memo_entries", "_memo_bits", "_memo_refused",
     )
 
@@ -187,6 +230,9 @@ class Poset:
         if len(self._ids) != n:
             raise DuplicateName("duplicate element names")
         self._cache = {}
+        # the byte tables of ``up``, built by the first ``upset`` (threads
+        # that race there build equal tables)
+        self._tables = None
         # sub-support column entries kept under _MEMO_BITS, their bits, and
         # the ones dropped because they did not fit (unlocked: threads that
         # build columns at once can miscount, never mis-enumerate)
@@ -235,14 +281,15 @@ class Poset:
         return not (self.up[i] >> j & 1) and not (self.up[j] >> i & 1)
 
     def upset(self, mask):
-        """Final segment generated by a mask of elements."""
+        """Final segment generated by a mask of elements: the OR of its up
+        rows, one lookup per byte of the mask in the poset's byte tables."""
         # the mask checks behind one test inline: the suites call this hot
         if not isinstance(mask, int) or mask & ~self.full:
             self._check_support(_check_mask(mask))
-        out = 0
-        for i in iter_bits(mask):
-            out |= self.up[i]
-        return out
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = _byte_tables(self.up)
+        return _gather(tables, mask)
 
     def minimals(self, sub=None):
         """Minimal members of a mask (default: of the whole poset)."""

@@ -532,6 +532,16 @@ def test_parse_deep_nesting_is_parse_error(text):
         exprs.parse(text)
 
 
+@pytest.mark.parametrize("node", [
+    ("var",), (), ("const",), ("not",), ("and", ("var", "a")), ("or", ("const", True)),
+    ("var", "a", "b"), ["var", "a"], ("and", ("var", "a"), 5), "x(a)", None,
+], ids=["var-short", "empty", "const-short", "not-short", "and-short", "or-short",
+        "var-long", "list", "int-operand", "str", "none"])
+def test_to_elem_rejects_malformed_nodes(v3, node):
+    with pytest.raises(ParseError):
+        exprs.to_elem(v3, node)
+
+
 def test_to_elem_deep_tree_is_parse_error(v3):
     node = ("var", "a")
     for _ in range(3000):
@@ -602,3 +612,14 @@ def test_building_elements_leaves_no_garbage_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "truth", [1 << 9, 1 << 2, -1, -4], ids=["wide", "at-count", "minus-one", "negative"]
+)
+def test_truth_tables_past_the_traces_raise(v3, truth):
+    """The support {a} has 2 traces, so its table has 2 bits; a wider or a
+    negative one once made an element whose complement was 0x203."""
+    assert algebra.AlgebraElem(v3, 1, 0b11).count == 2
+    with pytest.raises(UnknownElement):
+        algebra.AlgebraElem(v3, 1, truth)

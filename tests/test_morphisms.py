@@ -85,6 +85,21 @@ def test_extend_hom_rejects_int_images_outside_the_unit(unit, images):
         morphisms.extend_hom(antichain(1), unit, images)
 
 
+def test_extend_hom_below_an_element_unit_compares_meets_with_the_unit(v3):
+    """Into the part below u = x_a * x_b, both x_a and x_b meet u in u, so
+    sending 0 <= 1 of a 2-chain to them preserves order there and extends;
+    an assignment whose meets with u are out of order still raises."""
+    xa, xb, xc = (algebra.gen(v3, p) for p in "abc")
+    u = algebra.meet(xa, xb)
+    c2 = chain(2)
+    hom = morphisms.extend_hom(c2, u, [xa, xb])
+    for p in range(2):
+        assert algebra.equals(hom.apply(algebra.gen(c2, p)), u)
+    assert algebra.is_zero(hom.apply(algebra.complement(algebra.gen(c2, 0))))
+    with pytest.raises(NotOrderPreserving):
+        morphisms.extend_hom(c2, xc, [xc, xa])
+
+
 def test_extend_hom_rejects_an_image_off_the_units_poset(v3):
     for images in ([3], [algebra.gen(chain(1), 0)]):  # an int, an element of another poset
         with pytest.raises(PosetMismatch):
@@ -278,6 +293,8 @@ def test_not_an_embedding(v3):
         morphisms.subposet_embedding(antichain(2), v3, [v3.id("a"), v3.id("c")])
     with pytest.raises(NotAnEmbedding):
         morphisms.subposet_embedding(antichain(2), v3, [v3.id("a"), v3.id("a")])
+    with pytest.raises(BadArity):
+        morphisms.subposet_embedding(antichain(2), v3, [v3.id("a"), v3.id("b"), v3.id("b")])
     # ids past either end are unknown, not wrapped
     for bad in (3, -1):
         with pytest.raises(UnknownElement):
@@ -341,6 +358,25 @@ def test_relativize_respects_relative_operations(v3):
             rel.apply(algebra.complement(y)),
             algebra.meet(rel.unit, algebra.complement(rel.apply(y))),
         )
+
+
+def test_relativize_checks_no_order(monkeypatch):
+    """``induced`` makes the inclusion an order embedding, so relativizing
+    runs no ``extend_hom`` order check and decides no ``leq``: with both
+    refused, every relativization of the corpus posets with n <= 3 sends each
+    generator to its own generator, under the unit x_q."""
+
+    def refuse(*args):
+        raise AssertionError("relativize checked the order of its generator images")
+
+    monkeypatch.setattr(morphisms, "extend_hom", refuse)
+    monkeypatch.setattr(algebra, "leq", refuse)
+    for p in corpus.corpus_posets(3):
+        for q in range(p.n):
+            rel, ids = morphisms.relativize(p, q)
+            assert algebra.canonical_key(rel.unit) == algebra.canonical_key(algebra.gen(p, q))
+            assert [algebra.canonical_key(g) for g in rel.gen_image] == [
+                algebra.canonical_key(algebra.gen(p, i)) for i in ids]
 
 
 def test_relativize_applies_without_a_meet(monkeypatch):

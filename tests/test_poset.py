@@ -21,6 +21,8 @@ from posetalg.poset import (
     _TRANSPOSE_BLOCK,
     MAX_ELEMENTS,
     Poset,
+    _byte_tables,
+    _gather,
     antichain,
     build_poset,
     chain,
@@ -82,6 +84,9 @@ OUT_OF_RANGE = {
     "minimals": lambda p: p.minimals(1 << 5),
     "maximals-negative": lambda p: p.maximals(-2),
     "is_zero_syntactic": lambda p: algebra.is_zero_syntactic(p, 1 << 4, 1),
+    "pi_leq_masks-s": lambda p: lattice.pi_leq_masks(p, 1 << 4, 1),
+    "pi_leq_masks-t": lambda p: lattice.pi_leq_masks(p, 1, 1 << 4),
+    "pi_leq_masks-negative-t": lambda p: lattice.pi_leq_masks(p, 1, -1),
 }
 
 
@@ -487,3 +492,37 @@ def test_transpose_matches_definition():
             cols = transpose(rows, width)
             assert cols == expected, (width, count)
             assert transpose(cols, count) == [row & ((1 << width) - 1) for row in rows]
+
+
+def test_gather_matches_the_bit_loop():
+    """Against the OR of the rows at the set bits, for row counts on both
+    sides of MAX_ELEMENTS: masks 0 and full, masks at byte boundaries and
+    seeded masks past one byte."""
+    rng = random.Random(23)
+    for count in range(MAX_ELEMENTS + 3):
+        rows = [rng.getrandbits(count + 5) for _ in range(count)]
+        full = (1 << count) - 1
+        masks = {0, full} | {rng.getrandbits(count) for _ in range(8)}
+        for k in range(0, count, 8):
+            masks |= {1 << k, full & 0xFF << k, full & (1 << k) - 1, full >> k}
+        tables = _byte_tables(rows)
+        for m in masks:
+            want = 0
+            for j in range(count):
+                if m >> j & 1:
+                    want |= rows[j]
+            assert _gather(tables, m) == want, (count, m)
+        assert any(m >= 256 for m in masks) == (count > 8)
+
+
+def test_upset_on_a_tall_chain_keeps_no_table():
+    """Past MAX_ELEMENTS the tables would cost 32 times the rows: ``upset``
+    ORs the rows themselves, and a poset within the cap reads its tables."""
+    tall = chain(1500)
+    assert tall.upset(1 << 700) == tall.up[700]
+    assert tall.upset(1 << 1499 | 1 << 3) == tall.up[3]
+    assert tall._tables is tall.up
+    assert _byte_tables([1] * (MAX_ELEMENTS + 1)) == (1,) * (MAX_ELEMENTS + 1)
+    short = chain(MAX_ELEMENTS)
+    assert short.upset(1 << 100) == short.up[100]
+    assert [len(tab) for tab in short._tables] == [256] * (MAX_ELEMENTS // 8)
