@@ -42,7 +42,7 @@ from functools import reduce
 from operator import and_, or_
 
 from .errors import EnumerationOverflow, PosetMismatch, UnknownElement
-from .poset import iter_bits, popcount
+from .poset import _bits, popcount
 
 SUPPORT_CAP = 20
 # bits of lifted tables (32 MB) one lift may keep in its memo; past it, slices
@@ -150,9 +150,9 @@ def _columns(poset, support):
 def _product_truth(cols, full, pos, neg=0):
     """Table of x_pos & -x_neg from the columns of a support holding both."""
     truth = full
-    for p in iter_bits(pos):
+    for p in _bits(pos):
         truth &= cols[p]
-    for q in iter_bits(neg):
+    for q in _bits(neg):
         truth &= ~cols[q]
     return truth
 
@@ -261,8 +261,14 @@ def equals(e1, e2):
 
 
 def leq(e1, e2):
-    """e1 <= e2 in the Boolean order: e1 & ~e2 = 0."""
-    return is_zero(meet(e1, complement(e2)))
+    """e1 <= e2 in the Boolean order: e1 & ~e2 = 0, tested on the lifted
+    tables without building that element."""
+    _check_same_poset(e1, e2)
+    if e1.support == e2.support:
+        return not e1.truth & ~e2.truth
+    support, count, cols = _union(e1, e2)
+    full = (1 << count) - 1
+    return not _lift(e1, support, cols, full) & ~_lift(e2, support, cols, full)
 
 
 class ElementaryProduct(namedtuple("ElementaryProduct", "pos neg")):
@@ -323,7 +329,7 @@ def support_reduce(e):
     # each trace to its truth as '0' or '1'; a sentinel bit above the table
     # fixes the width of the binary string
     bit_at = dict(zip(e.traces, bin(e.truth | 1 << e.count)[:2:-1]))
-    for s in iter_bits(e.support):
+    for s in _bits(e.support):
         bit = 1 << s
         if any(bit_at.get(t ^ bit, b) != b for t, b in bit_at.items() if t & bit):
             continue

@@ -16,7 +16,7 @@ from collections import deque
 
 from . import algebra
 from .errors import BadArity, ClosureOverflow, EnumerationOverflow, PosetMismatch, UnknownElement
-from .poset import _byte_tables, _gather, iter_bits, popcount, transpose
+from .poset import _bits, _byte_tables, _gather, popcount, transpose
 
 # the fixed size caps: antichains one enumeration lists, elements one closure holds
 ANTICHAIN_CAP = 1 << 20
@@ -133,7 +133,7 @@ def enumerate_l(poset, include_unit=True):
     less = _strict_less_rows(term_segments(poset, pis))
     comp = [a | b for a, b in zip(less, transpose(less, len(less)))]
     return [
-        LatticeElem(poset, [pis[i] for i in iter_bits(mask)])
+        LatticeElem(poset, [pis[i] for i in _bits(mask)])
         for mask in _antichains(comp)[1:]
     ]
 
@@ -268,7 +268,7 @@ def _hopcroft_karp(rows):
             for u in layer:
                 new = rows[u] & ~reached_r
                 reached_r |= new
-                for v in iter_bits(new):
+                for v in _bits(new):
                     w = match_r[v]
                     if w == -1:
                         free_r |= 1 << v
@@ -323,4 +323,4 @@ def max_antichain(items, masks):
         return [], True
     left, right = _hopcroft_karp(_strict_less_rows(masks))
     # Koenig: the cover is the unreached left plus the reached right vertices
-    return [items[i] for i in iter_bits(left & ~right)], True
+    return [items[i] for i in _bits(left & ~right)], True

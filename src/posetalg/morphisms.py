@@ -36,14 +36,14 @@ from .errors import (
     PremiseFailed,
     UnknownElement,
 )
-from .poset import _byte_tables, _gather, chain, iter_bits, lex_sum, product
+from .poset import _bits, _byte_tables, _gather, chain, lex_sum, product
 
 
 def _image_table(unit, images, support, traces):
     """Image of x_t * -x_{S-t} for each trace t of ``support`` S, in the order
     of ``traces`` (the sorted up-sets of S): the int ``unit`` ANDed with the
     int image of each element of t and the complement of each other one."""
-    members = list(iter_bits(support))
+    members = _bits(support)
     table = []
     for t in traces:
         term = unit
@@ -88,7 +88,7 @@ class Hom:
         their tables lifted onto U, the union of their supports."""
         if self._poset is None:
             return None, self.unit, self.gen_image
-        ids = list(iter_bits(support))
+        ids = _bits(support)
         elems = [self.unit] + [self.gen_image[p] for p in ids]
         union = reduce(or_, [e.support for e in elems])
         cols, full = algebra._columns(self._poset, union)
@@ -110,6 +110,8 @@ class Hom:
             got = self._tables[e.support] = (
                 union, _byte_tables(_image_table(unit, images, e.support, e.traces)))
         union, tables = got
+        if e.truth < 256 and tables.__class__ is list:
+            return self._wrap(union, tables[0][e.truth])
         return self._wrap(union, _gather(tables, e.truth))
 
     def space(self):
@@ -162,7 +164,7 @@ def extend_hom(source, unit, gen_image):
     for p in range(source.n):
         above = source.up[p] & ~(1 << p)
         a = images[p] if on_ints or not above else algebra.meet(images[p], unit)
-        for q in iter_bits(above):
+        for q in _bits(above):
             b = images[q]
             if (a & ~b) if on_ints else not algebra.leq(a, b):
                 raise NotOrderPreserving(source.names[p], source.names[q])
@@ -323,7 +325,7 @@ def lex_layering_check(index, parts):
         for part, off in zip(parts, offsets)
     ]
     for xi in range(index.n):
-        for zeta in iter_bits(index.up[xi] & ~(1 << xi)):
+        for zeta in _bits(index.up[xi] & ~(1 << xi)):
             for g in lattices[xi]:
                 ge = g.to_elem()
                 for h in lattices[zeta]:
@@ -387,7 +389,7 @@ def h_construction(poset, chain_elems):
         sub, ids = poset.induced(keep)
         block = []
         for sigma in lattice.enumerate_pi(sub, include_unit=True):
-            ambient_sigma = sum(1 << ids[i] for i in iter_bits(sigma))
+            ambient_sigma = sum(1 << ids[i] for i in _bits(sigma))
             y = algebra.product_elem(poset, ambient_sigma)
             block.append(algebra.join(prev_gen, algebra.meet(y, x_chain[n])))
         blocks.append(block)

@@ -30,12 +30,26 @@ MAX_SEGMENTS = 1 << 20
 _MEMO_BITS = 1 << 23
 
 
-def iter_bits(mask):
-    """Yield the set bit positions of mask in increasing order."""
+# the set bits of each byte by doubling: the tuples so far, then each with j added
+_BYTE_BITS = [()]
+for _j in range(8):
+    _BYTE_BITS += [bits + (_j,) for bits in _BYTE_BITS]
+
+
+def _bits(mask):
+    """The set bit positions of mask in increasing order: a stored tuple for
+    a mask below 256, else a list; a negative mask raises UnknownElement.
+    Private, as perfbench's tracer times every public function as a span."""
+    if not mask >> 8:  # also false for a negative mask, which shifts to -1
+        return _BYTE_BITS[mask]
+    if mask < 0:
+        raise UnknownElement(f"negative mask {mask}")
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def popcount(mask):
@@ -71,7 +85,7 @@ def _gather(tables, mask):
     none below 0."""
     if tables.__class__ is tuple:
         out = 0
-        for i in iter_bits(mask):
+        for i in _bits(mask):
             out |= tables[i]
         return out
     if mask < 256:
@@ -177,7 +191,7 @@ def _split(poset, support, listing):
         # h and above: in every up-set of the second block
         ones = ((1 << hi_count) - 1) << lo_count
         cols[h] = ones
-        for p in iter_bits(top ^ 1 << h):
+        for p in _bits(top ^ 1 << h):
             cols[p] = lo_cols[p] | ones
         memo[s] = (count, None, cols)
         if s != support:
@@ -217,7 +231,7 @@ class Poset:
                 raise NotAnOrder(f"row of {self.names[i]!r} has bits outside the {n} elements")
             if not row >> i & 1:
                 raise NotAnOrder(f"relation not reflexive at {self.names[i]!r}")
-            for j in iter_bits(row):
+            for j in _bits(row):
                 if self.up[j] | row != row:
                     raise NotAnOrder(
                         f"relation not transitive at {self.names[i]!r} <= {self.names[j]!r}"
@@ -269,7 +283,7 @@ class Poset:
         return m
 
     def names_of(self, mask):
-        return [self.names[i] for i in iter_bits(mask)]
+        return [self.names[i] for i in _bits(mask)]
 
     # -- order queries -----------------------------------------------------
 
@@ -283,19 +297,21 @@ class Poset:
     def upset(self, mask):
         """Final segment generated by a mask of elements: the OR of its up
         rows, one lookup per byte of the mask in the poset's byte tables."""
-        # the mask checks behind one test inline: the suites call this hot
+        # the mask checks behind one test, and a one-byte lookup, inline: hot
         if not isinstance(mask, int) or mask & ~self.full:
             self._check_support(_check_mask(mask))
         tables = self._tables
         if tables is None:
             tables = self._tables = _byte_tables(self.up)
+        if mask < 256 and tables.__class__ is list:
+            return tables[0][mask]
         return _gather(tables, mask)
 
     def minimals(self, sub=None):
         """Minimal members of a mask (default: of the whole poset)."""
         m = self.full if sub is None else self._check_support(_check_mask(sub))
         out = 0
-        for i in iter_bits(m):
+        for i in _bits(m):
             if self.down[i] & m == 1 << i:
                 out |= 1 << i
         return out
@@ -303,7 +319,7 @@ class Poset:
     def maximals(self, sub=None):
         m = self.full if sub is None else self._check_support(_check_mask(sub))
         out = 0
-        for i in iter_bits(m):
+        for i in _bits(m):
             if self.up[i] & m == 1 << i:
                 out |= 1 << i
         return out
@@ -384,7 +400,7 @@ class Poset:
         out = []
         for i in range(self.n):
             strict = self.up[i] ^ (1 << i)
-            for j in iter_bits(strict):
+            for j in _bits(strict):
                 between = self.up[i] & self.down[j] & ~(1 << i) & ~(1 << j)
                 if not between:
                     out.append((i, j))
@@ -400,12 +416,12 @@ class Poset:
 
     def induced(self, support):
         """Subposet on a mask; returns (Q, list mapping Q-ids to P-ids)."""
-        ids = list(iter_bits(self._check_support(support)))
+        ids = list(_bits(self._check_support(support)))
         pos = {p: k for k, p in enumerate(ids)}
         rows = []
         for p in ids:
             row = 0
-            for q in iter_bits(self.up[p] & support):
+            for q in _bits(self.up[p] & support):
                 row |= 1 << pos[q]
             rows.append(row)
         return Poset([self.names[p] for p in ids], rows), ids
@@ -492,10 +508,12 @@ def parse_json_dict(data):
 
 
 def chain(n):
+    """The chain 0 < 1 < ... < n-1; empty for n <= 0, as ``range(n)`` is."""
     return Poset([str(i) for i in range(n)], [(1 << n) - (1 << i) for i in range(n)])
 
 
 def antichain(n):
+    """n pairwise incomparable elements; empty for n <= 0, as ``range(n)`` is."""
     return Poset([str(i) for i in range(n)], [1 << i for i in range(n)])
 
 
@@ -516,7 +534,7 @@ def lex_sum(index, parts):
     for xi, part in enumerate(parts):
         # the elements of every part strictly above xi in the index
         above = 0
-        for zeta in iter_bits(index.up[xi] & ~(1 << xi)):
+        for zeta in _bits(index.up[xi] & ~(1 << xi)):
             above |= (1 << ends[zeta + 1]) - (1 << ends[zeta])
         rows.extend(row << ends[xi] | above for row in part.up)
     return Poset(names, rows)
@@ -532,7 +550,7 @@ def product(p, q):
     # row (a, b) is the OR of q.up[b] << a2 * q.n over the a2 in p.up[a]: the
     # product of q.up[b] with the spread of p.up[a] (bit a2 at a2 * q.n), as
     # copies q.n bits apart never carry into each other
-    spreads = [sum(1 << a2 * q.n for a2 in iter_bits(row)) for row in p.up]
+    spreads = [sum(1 << a2 * q.n for a2 in _bits(row)) for row in p.up]
     rows = [spread * row for spread in spreads for row in q.up]
     return Poset(names, rows), index
 
@@ -540,7 +558,7 @@ def product(p, q):
 def rado_prefix(n):
     """Finite prefix of Rado's poset: pairs (i,j), 0 <= i < j <= n.
 
-    (i,j) <= (k,l) iff (i = k and j <= l) or j < k.
+    (i,j) <= (k,l) iff (i = k and j <= l) or j < k; empty for n <= 0.
     """
     count = n * (n + 1) // 2 if n > 0 else 0
     if count > MAX_ELEMENTS:
@@ -558,7 +576,8 @@ def rado_prefix(n):
 
 
 def random_poset(n, density, seed):
-    """Seeded random poset: up-edges i->j (i<j) kept with the given density."""
+    """Seeded random poset: up-edges i->j (i<j) kept with the given density;
+    empty for n <= 0, as ``range(n)`` is."""
     if n > MAX_ELEMENTS:
         raise SizeLimit(f"random poset of {n} > {MAX_ELEMENTS} elements")
     rng = random.Random(seed)
@@ -580,7 +599,7 @@ def linear_augmentation(p, seed=0):
     remaining = p.full
     order = []
     while remaining:
-        mins = list(iter_bits(p.minimals(remaining)))
+        mins = _bits(p.minimals(remaining))
         pick = mins[rng.randrange(len(mins))] if len(mins) > 1 else mins[0]
         order.append(pick)
         remaining &= ~(1 << pick)

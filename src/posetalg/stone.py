@@ -23,7 +23,7 @@ import random
 
 from . import algebra
 from .errors import CountMismatch, PosetMismatch, UnknownElement
-from .poset import iter_bits, transpose
+from .poset import _bits, transpose
 
 # check_binary_subbase scans every subfamily of a poset up to this size, and
 # draws this many seeded subfamilies of a larger one
@@ -87,7 +87,7 @@ def denote_elem(space, e):
     if full_support:
         return e.truth
     mask = 0
-    for k in iter_bits(e.truth):
+    for k in _bits(e.truth):
         mask |= blocks[k]
     return mask
 
@@ -172,7 +172,7 @@ def check_binary_subbase(poset, seed=0):
     sub = _scan_subfamilies([mask for _, _, mask in family], space.full, SAMPLES, seed, exhaustive)
     if sub is None:
         return None
-    return [(family[k][0], family[k][1]) for k in iter_bits(sub)]
+    return [(family[k][0], family[k][1]) for k in _bits(sub)]
 
 
 def _scan_subfamilies(sets, full, samples, seed, exhaustive):
@@ -204,9 +204,9 @@ def _scan_subfamilies(sets, full, samples, seed, exhaustive):
     else:
         def is_violator(sub):
             inter = full
-            for k in iter_bits(sub):
+            for k in _bits(sub):
                 inter &= sets[k]
-            return not inter and not any(partners[k] & sub for k in iter_bits(sub))
+            return not inter and not any(partners[k] & sub for k in _bits(sub))
 
     rng = random.Random(seed)
     for _ in range(samples):
@@ -222,6 +222,6 @@ def denote_and_map(atom_img, clopen):
     if clopen >> len(atom_img):
         raise UnknownElement(f"clopen {clopen:#x} has bits past the {len(atom_img)} atoms")
     out = 0
-    for k in iter_bits(clopen):
+    for k in _bits(clopen):
         out |= atom_img[k]
     return out

@@ -21,9 +21,9 @@ from . import algebra, corpus, lattice, morphisms, stone, wqo
 from .errors import CountMismatch, PremiseFailed, SizeLimit
 from .poset import (
     MAX_ELEMENTS,
+    _bits,
     antichain,
     chain,
-    iter_bits,
     linear_augmentation,
     rado_prefix,
     random_poset,
@@ -134,7 +134,7 @@ def _point_traces(space, ids):
 def _product_denotation(space, sigma):
     """Clopen of the generator product over sigma, set-theoretically."""
     mask = space.full
-    for p in iter_bits(sigma):
+    for p in _bits(sigma):
         mask &= stone.v_set(space, p)
     return mask
 
@@ -150,9 +150,9 @@ def _fact24_check(space, pairs, case):
     for s, t in pairs:
         case.cases += 1
         oracle = space.full
-        for p in iter_bits(s):
+        for p in _bits(s):
             oracle &= vsets[p]
-        for q in iter_bits(t):
+        for q in _bits(t):
             oracle &= space.full ^ vsets[q]
         syn = algebra.is_zero_syntactic(poset, s, t)
         if syn != (oracle == 0):
@@ -198,10 +198,11 @@ def suite_pi_order(config):
             space = stone.StoneSpace(poset)
             subsets = _small_subset_masks(poset.n, 3)
             dens = {s: _product_denotation(space, s) for s in subsets}
+            ups = {s: poset.upset(s) for s in subsets}
             for s, t in product(subsets, repeat=2):
                 case.cases += 1
                 pointwise = lattice.pi_leq_masks(poset, s, t)
-                segments = poset.upset(s) | poset.upset(t) == poset.upset(s)
+                segments = ups[s] | ups[t] == ups[s]
                 denotation = dens[s] & ~dens[t] == 0
                 if not (pointwise == segments == denotation):
                     raise Witness({
@@ -276,7 +277,8 @@ def _l_leq_vs_oracle(poset, space, pis, dens, include_unit):
     orc_rows = lattice._subset_rows(den, den)
     for i, (sym, orc) in enumerate(zip(sym_rows, orc_rows)):
         if sym != orc:
-            j = next(iter_bits(sym ^ orc))
+            diff = sym ^ orc
+            j = (diff & -diff).bit_length() - 1
             witness = {"a": str(elems[i]), "b": str(elems[j]),
                        "l_leq": bool(sym >> j & 1), "oracle": bool(orc >> j & 1)}
             break
@@ -531,7 +533,7 @@ def suite_relativize(config):
                 rel, sub_ids = morphisms.relativize(poset, q)
                 sub_space = stone.StoneSpace(rel.source)
                 vq = stone.denote_elem(space, rel.unit)
-                inside = list(iter_bits(vq))
+                inside = _bits(vq)
 
                 # segment traces restrict to a bijection onto the sub-segments
                 sub_traces = _point_traces(space, sub_ids)
@@ -594,7 +596,7 @@ def _random_monotone_assignment(rng, poset, target_space):
     images = [None] * poset.n
     for p in poset.linear_extension():
         floor = 0
-        for below in iter_bits(poset.down[p] & ~(1 << p)):
+        for below in _bits(poset.down[p] & ~(1 << p)):
             floor |= images[below]
         candidates = [m for m in range(univ + 1) if m & floor == floor]
         images[p] = candidates[rng.randrange(len(candidates))]

@@ -12,9 +12,9 @@ from posetalg import algebra, corpus, exprs, lattice, stone
 from posetalg.errors import EnumerationOverflow, ParseError, PosetMismatch, UnknownElement
 from posetalg.poset import (
     Poset,
+    _bits,
     antichain,
     chain,
-    iter_bits,
     popcount,
     product,
     rado_prefix,
@@ -147,14 +147,14 @@ def _operand(p, space, support, rng):
     built from ``stone.v_set`` alone."""
     if not support:
         return (algebra.one(p), space.full) if rng.random() < 0.5 else (algebra.zero(p), 0)
-    v = {i: stone.v_set(space, i) for i in iter_bits(support)}
+    v = {i: stone.v_set(space, i) for i in _bits(support)}
     elem, clopen = None, 0
     for _ in range(3):
         pos = rng.getrandbits(p.n) & support
         term = algebra.elementary_product(p, pos, support & ~pos)
         elem = term if elem is None else algebra.join(elem, term)
         d = space.full
-        for i in iter_bits(support):
+        for i in _bits(support):
             d &= v[i] if pos >> i & 1 else space.full ^ v[i]
         clopen |= d
     return elem, clopen
@@ -329,6 +329,35 @@ def test_leq_is_meet_order(case):
     p = POSET_POOL[idx]
     a, b = exprs.to_elem(p, xa), exprs.to_elem(p, xb)
     assert algebra.leq(a, b) == algebra.equals(algebra.meet(a, b), a)
+
+
+def test_leq_matches_meet_with_complement(monkeypatch):
+    """``leq`` against the zero test of a & -b on seeded pairs over the
+    corpus posets, most of them on different supports, without building an
+    element; operands over different posets raise PosetMismatch."""
+    rng = random.Random(26)
+    pairs = []
+    for p in corpus.corpus_posets(4):
+        for _ in range(12):
+            s, t = rng.getrandbits(p.n), rng.getrandbits(p.n)
+            a = algebra.AlgebraElem(p, s, rng.getrandbits(p.columns(s)[0]))
+            b = algebra.AlgebraElem(p, t, rng.getrandbits(p.columns(t)[0]))
+            pairs += [(a, b), (a, algebra.join(a, b)), (algebra.meet(a, b), b)]
+    assert sum(a.support != b.support for a, b in pairs) > len(pairs) // 2
+    want = [algebra.is_zero(algebra.meet(a, algebra.complement(b))) for a, b in pairs]
+    assert True in want and False in want
+    built = []
+    real = algebra.AlgebraElem.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(algebra.AlgebraElem, "__init__", counted)
+    assert [algebra.leq(a, b) for a, b in pairs] == want
+    assert built == []
+    with pytest.raises(PosetMismatch):
+        algebra.leq(algebra.gen(chain(2), 0), algebra.gen(chain(2), 0))
 
 
 def test_order_embedding():

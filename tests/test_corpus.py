@@ -12,9 +12,9 @@ from posetalg.poset import (
     _MEMO_BITS,
     MAX_SEGMENTS,
     Poset,
+    _bits,
     antichain,
     chain,
-    iter_bits,
     lex_sum,
     product,
     rado_prefix,
@@ -136,7 +136,7 @@ def assert_columns_match_traces(p, support):
     count, cols = p.columns(support)
     traces = p.upsets_of(support)
     assert count == len(traces)
-    assert sorted(cols) == list(iter_bits(support))
+    assert sorted(cols) == list(_bits(support))
     for q, col in cols.items():
         assert col == sum(1 << k for k, t in enumerate(traces) if t >> q & 1)
 
@@ -213,7 +213,7 @@ def test_overflowing_split_keeps_only_entries_under_the_cap():
     assert below not in p._cache and p.full not in p._cache
     for support, (count, traces, cols) in p._cache.items():
         assert count <= MAX_SEGMENTS and count == 1 << support.bit_count()
-        assert traces is None and sorted(cols) == list(iter_bits(support))
+        assert traces is None and sorted(cols) == list(_bits(support))
     with pytest.raises(EnumerationOverflow):
         p.columns(p.full)
     assert below not in p._cache and p.full not in p._cache

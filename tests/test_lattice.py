@@ -10,9 +10,9 @@ from posetalg import algebra, corpus, lattice, stone
 from posetalg.errors import BadArity, ClosureOverflow, PosetMismatch
 from posetalg.poset import (
     Poset,
+    _bits,
     antichain,
     chain,
-    iter_bits,
     popcount,
     rado_prefix,
     random_poset,
@@ -291,12 +291,12 @@ def _subset_rows_by_bits(queries, masks):
     everything = (1 << len(masks)) - 1
     cols = {}
     for j, m in enumerate(masks):
-        for k in iter_bits(m):
+        for k in _bits(m):
             cols[k] = cols.get(k, 0) | 1 << j
     out = []
     for q in queries:
         row = everything
-        for k in iter_bits(q):
+        for k in _bits(q):
             row &= cols.get(k, 0)
         out.append(row)
     return out

@@ -18,7 +18,7 @@ from posetalg.errors import (
     PremiseFailed,
     UnknownElement,
 )
-from posetalg.poset import antichain, chain, iter_bits, lex_sum, linear_augmentation
+from posetalg.poset import _bits, antichain, chain, lex_sum, linear_augmentation
 
 
 def all_elems(poset):
@@ -188,7 +188,7 @@ def _join_loop(hom, e):
     for k, t in enumerate(e.traces):
         if e.truth >> k & 1:
             term = unit
-            for p in iter_bits(e.support):
+            for p in _bits(e.support):
                 img = hom.gen_image[p]
                 term = meet(term, img if t >> p & 1 else complement(img))
             out = join(out, term)
@@ -213,7 +213,7 @@ def test_hom_apply_matches_the_join_loop():
                 assert to_masks.apply(e) == _join_loop(to_masks, e)
                 got, want = to_elems.apply(e), _join_loop(to_elems, e)
                 union = 0
-                for p in iter_bits(e.support):
+                for p in _bits(e.support):
                     union |= elems[p].support
                 assert algebra.equals(got, want) and got.support == union
                 assert stone.denote_elem(tgt_space, got) == stone.denote_elem(tgt_space, want)

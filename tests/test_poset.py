@@ -21,12 +21,12 @@ from posetalg.poset import (
     _TRANSPOSE_BLOCK,
     MAX_ELEMENTS,
     Poset,
+    _bits,
     _byte_tables,
     _gather,
     antichain,
     build_poset,
     chain,
-    iter_bits,
     lex_sum,
     linear_augmentation,
     parse_json_dict,
@@ -185,7 +185,7 @@ def test_rado_prefix_is_transitive_reflexive_antisymmetric():
     p = rado_prefix(5)
     for i in range(p.n):
         assert p.up[i] >> i & 1
-        for j in iter_bits(p.up[i]):
+        for j in _bits(p.up[i]):
             assert p.up[i] | p.up[j] == p.up[i]  # transitivity
             if i != j:
                 assert not p.up[j] >> i & 1  # antisymmetry
@@ -236,8 +236,8 @@ def _product_by_pairs(p, q):
             names.append(f"({p.names[a]},{q.names[b]})")
     rows = [0] * len(names)
     for (a, b), i in index.items():
-        for a2 in iter_bits(p.up[a]):
-            for b2 in iter_bits(q.up[b]):
+        for a2 in _bits(p.up[a]):
+            for b2 in _bits(q.up[b]):
                 rows[i] |= 1 << index[(a2, b2)]
     return names, rows, index
 
@@ -253,9 +253,9 @@ def _lex_sum_by_bits(index, parts):
         off = offsets[xi]
         for p in range(part.n):
             row = 0
-            for q in iter_bits(part.up[p]):
+            for q in _bits(part.up[p]):
                 row |= 1 << (off + q)
-            for zeta in iter_bits(index.up[xi] & ~(1 << xi)):
+            for zeta in _bits(index.up[xi] & ~(1 << xi)):
                 row |= ((1 << parts[zeta].n) - 1) << offsets[zeta]
             rows[off + p] = row
     return names, rows
@@ -404,7 +404,7 @@ def test_random_posets_satisfy_axioms(n, density, seed):
     p = random_poset(n, density, seed)
     for i in range(p.n):
         assert p.up[i] >> i & 1
-        for j in iter_bits(p.up[i]):
+        for j in _bits(p.up[i]):
             assert p.up[i] | p.up[j] == p.up[i]
             assert i == j or not (p.up[j] >> i & 1)
 
@@ -492,6 +492,55 @@ def test_transpose_matches_definition():
             cols = transpose(rows, width)
             assert cols == expected, (width, count)
             assert transpose(cols, count) == [row & ((1 << width) - 1) for row in rows]
+
+
+def test_sizes_at_or_below_zero_give_the_empty_poset():
+    """n <= 0 is the empty poset, as range(n) is empty, for each sized
+    constructor."""
+    for build in (chain, antichain, rado_prefix, lambda n: random_poset(n, 0.5, seed=1)):
+        for n in (0, -1, -3):
+            p = build(n)
+            assert (p.n, p.full, p.up) == (0, 0, ())
+
+
+def _bit_loop(mask):
+    """The set bits of mask, one lowest bit at a time: the generator that
+    ``_bits`` replaced."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def test_bits_matches_the_bit_loop():
+    """Every mask below 2**16, so the stored tuples and the list path on both
+    sides of one byte, seeded masks of 20, 130 and 1500 bits, and negative
+    masks, which raise rather than loop forever."""
+    for m in range(1 << 16):
+        assert list(_bits(m)) == list(_bit_loop(m)), m
+    assert all(_bits(m).__class__ is tuple for m in range(256))
+    rng = random.Random(24)
+    for width in (20, 130, 1500):
+        for _ in range(20):
+            m = rng.getrandbits(width)
+            assert list(_bits(m)) == list(_bit_loop(m)), (width, m)
+        assert _bits(1 << width - 1) == [width - 1]
+    for m in (-1, -2, -256, -(1 << 40)):
+        with pytest.raises(UnknownElement):
+            _bits(m)
+
+
+def test_upset_matches_gather_across_one_byte():
+    """The inline lookup of a one-byte mask and the ``_gather`` path past it
+    give the OR of the up rows, on posets within MAX_ELEMENTS and past it."""
+    rng = random.Random(25)
+    for p in (random_poset(6, 0.4, seed=1), random_poset(9, 0.3, seed=2),
+              random_poset(20, 0.2, seed=3), chain(MAX_ELEMENTS + 2)):
+        tables = _byte_tables(p.up)
+        masks = {0, p.full, p.full & 255, p.full & 511} | {rng.getrandbits(p.n) for _ in range(50)}
+        assert any(m < 256 for m in masks) and any(m >= 256 for m in masks) == (p.n > 8)
+        for m in masks:
+            assert p.upset(m) == _gather(tables, m), (p.n, m)
 
 
 def test_gather_matches_the_bit_loop():

@@ -9,9 +9,9 @@ from posetalg import algebra, corpus, exprs, morphisms, stone, suites
 from posetalg.errors import CountMismatch, UnknownElement
 from posetalg.poset import (
     Poset,
+    _bits,
     antichain,
     chain,
-    iter_bits,
     popcount,
     rado_prefix,
     random_poset,
@@ -36,7 +36,7 @@ def test_space_matches_brute_force():
 def test_v_set_frozen(v3):
     space = stone.StoneSpace(v3)
     vc = stone.v_set(space, "c")
-    segs = {space.points[k] for k in iter_bits(vc)}
+    segs = {space.points[k] for k in _bits(vc)}
     assert segs == {
         v3.mask(["c"]),
         v3.mask(["a", "c"]),
@@ -205,7 +205,7 @@ def test_denote_meet_example(v3):
     space = stone.StoneSpace(v3)
     e = algebra.meet(algebra.gen(v3, "a"), algebra.gen(v3, "b"))
     den = stone.denote_elem(space, e)
-    assert {space.points[k] for k in iter_bits(den)} == {v3.mask(["a", "b", "c"])}
+    assert {space.points[k] for k in _bits(den)} == {v3.mask(["a", "b", "c"])}
 
 
 @settings(max_examples=80, deadline=None)
@@ -218,7 +218,7 @@ def test_denote_expr_vs_elem_and_brute(case):
     mask_elem = stone.denote_elem(space, exprs.to_elem(p, node))
     assert mask_expr == mask_elem
     expected = brute_denote(p, node)
-    assert {space.points[k] for k in iter_bits(mask_expr)} == set(expected)
+    assert {space.points[k] for k in _bits(mask_expr)} == set(expected)
 
 
 @settings(max_examples=80, deadline=None)
@@ -319,7 +319,7 @@ def test_binary_subbase_brute_force_small():
         family += [space.full ^ m for m in family]
         m = len(family)
         for sub in range(1, 1 << m):
-            members = [family[k] for k in iter_bits(sub)]
+            members = [family[k] for k in _bits(sub)]
             inter = space.full
             for x in members:
                 inter &= x
@@ -348,7 +348,7 @@ def _reference_scan(sets, full, samples, seed, exhaustive):
         rng = random.Random(seed)
         candidates = (rng.randrange(1, 1 << m) for _ in range(samples))
     for sub in candidates:
-        if violates(list(iter_bits(sub))):
+        if violates(list(_bits(sub))):
             return sub
     return None
 
@@ -429,5 +429,5 @@ def test_atom_partition_fault():
 def test_clopen_json(v3):
     space = stone.StoneSpace(v3)
     clopen = stone.v_set(space, "a")
-    out = sorted(sorted(v3.names_of(space.points[k])) for k in iter_bits(clopen))
+    out = sorted(sorted(v3.names_of(space.points[k])) for k in _bits(clopen))
     assert out == [["a", "b", "c"], ["a", "c"]]
