@@ -287,7 +287,10 @@ class ElementaryProduct(namedtuple("ElementaryProduct", "pos neg")):
 
 def is_zero_syntactic(poset, sigma, tau):
     """Order-only zero test for the elementary product of masks sigma and
-    tau: some p in sigma lies below some q in tau."""
+    tau: some p in sigma lies below some q in tau.  A mask with a bit outside
+    the poset, a negative one included, raises UnknownElement."""
+    if tau & ~poset.full:
+        raise UnknownElement(f"mask {tau:#x} has bits outside the {poset.n} elements")
     return bool(poset.upset(sigma) & tau)
 
 

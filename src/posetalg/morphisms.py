@@ -150,15 +150,18 @@ def extend_hom(source, unit, gen_image):
     algebra below ``unit`` (see ``Hom``).
 
     ``gen_image[p]`` is the image of source id p.  Raises BadArity unless
-    there is one image per source element, UnknownElement for an int image
-    that is negative or not below an int unit, and NotOrderPreserving with
-    a witnessing pair if the assignment is not order-preserving below the
-    unit: p <= q needs the meet of p's image with the unit below q's image.
+    there is one image per source element, UnknownElement for a negative int
+    unit or an int image that is negative or not below it, and
+    NotOrderPreserving with a witnessing pair if the assignment is not
+    order-preserving below the unit: p <= q needs the meet of p's image with
+    the unit below q's image.
     """
     images = list(gen_image)
     if len(images) != source.n:
         raise BadArity(f"{len(images)} generator images for {source.n} elements")
     on_ints = isinstance(unit, int)
+    if on_ints and unit < 0:
+        raise UnknownElement(f"negative unit {unit:#x}")
     if on_ints and any(img < 0 or img & ~unit for img in images):
         raise UnknownElement(f"an image is negative or not below the unit {unit:#x}")
     for p in range(source.n):
@@ -186,8 +189,9 @@ def subposet_embedding(sub, ambient, inclusion):
     incl = list(inclusion)
     if len(incl) != sub.n:
         raise BadArity(f"{len(incl)} ambient ids for {sub.n} elements")
-    # a name is no id: comparing it with an int raises TypeError
-    if not all(0 <= i < ambient.n for i in incl):
+    # a name is no id: comparing it with an int raises TypeError; a bool is
+    # no id either, as in Poset.id
+    if not all(not isinstance(i, bool) and 0 <= i < ambient.n for i in incl):
         raise UnknownElement("inclusion id out of range")
     if len(set(incl)) != sub.n:
         raise NotAnEmbedding("inclusion not injective")

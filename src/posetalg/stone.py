@@ -19,16 +19,13 @@ trace list and a wrong count raises ``CountMismatch``.
 
 from __future__ import annotations
 
-import random
-
 from . import algebra
-from .errors import CountMismatch, PosetMismatch, UnknownElement
+from .errors import CountMismatch, PosetMismatch, SizeLimit, UnknownElement
 from .poset import _bits, transpose
 
-# check_binary_subbase scans every subfamily of a poset up to this size, and
-# draws this many seeded subfamilies of a larger one
-EXHAUSTIVE_LIMIT = 4
-SAMPLES = 10000
+# check_binary_subbase decides all 4**n subfamilies of a poset of n elements
+# from one table; past this many elements it raises SizeLimit
+EXHAUSTIVE_LIMIT = 8
 
 
 class StoneSpace:
@@ -86,10 +83,7 @@ def denote_elem(space, e):
         })
     if full_support:
         return e.truth
-    mask = 0
-    for k in _bits(e.truth):
-        mask |= blocks[k]
-    return mask
+    return denote_and_map(blocks, e.truth)
 
 
 def denote_expr(space, node):
@@ -122,8 +116,12 @@ def signature_blocks(count, gens):
 
     The subalgebra generated by ``gens`` is exactly the set of unions of
     these blocks, so it has size 2**len(blocks).  Blocks come in the order of
-    their lowest points.
+    their lowest points.  A generator with a bit at or past ``count``, or a
+    negative one, raises UnknownElement.
     """
+    # a negative g shifts to -1, so one test covers both ends
+    if any(g >> count for g in gens):
+        raise UnknownElement(f"a generator has bits outside the {count} points")
     by_sig = {}
     for k, sig in enumerate(transpose(gens, count)):
         by_sig[sig] = by_sig.get(sig, 0) | 1 << k
@@ -155,36 +153,33 @@ def generates(space, gens):
 # -- binary subbase check ------------------------------------------------------
 
 
-def check_binary_subbase(poset, seed=0):
+def check_binary_subbase(poset):
     """Check the binary-subbase property of {V_p} u {-V_p}.
 
     Every subfamily with empty intersection must contain two members whose
     pairwise intersection is already empty.  Returns None when the property
-    holds, else a violating subfamily as a list of (name, sign) pairs.
-
-    Subfamilies are scanned exhaustively for |P| <= EXHAUSTIVE_LIMIT;
-    otherwise ``SAMPLES`` of them are drawn from ``seed``.
+    holds, else the lowest violating subfamily as a list of (name, sign)
+    pairs.  Every subfamily is decided, so a poset of more than
+    ``EXHAUSTIVE_LIMIT`` elements raises SizeLimit before its space is built.
     """
+    if poset.n > EXHAUSTIVE_LIMIT:
+        raise SizeLimit(f"binary-subbase check on {poset.n} > {EXHAUSTIVE_LIMIT} elements")
     space = StoneSpace(poset)
     family = [(name, "+", v_set(space, i)) for i, name in enumerate(poset.names)]
     family += [(name, "-", space.full ^ mask) for name, _, mask in family]
-    exhaustive = poset.n <= EXHAUSTIVE_LIMIT
-    sub = _scan_subfamilies([mask for _, _, mask in family], space.full, SAMPLES, seed, exhaustive)
+    sub = _scan_subfamilies([mask for _, _, mask in family], space.full)
     if sub is None:
         return None
     return [(family[k][0], family[k][1]) for k in _bits(sub)]
 
 
-def _scan_subfamilies(sets, full, samples, seed, exhaustive):
-    """Bitmask of a subfamily of ``sets`` that violates the binary-subbase
-    property, or None.
+def _scan_subfamilies(sets, full):
+    """Bitmask of the lowest subfamily of ``sets`` that violates the
+    binary-subbase property, or None.
 
-    Exhaustive mode returns the lowest violator.  Sampled mode draws
-    ``samples`` seeded subfamilies and returns the first violating draw.  When
-    the draws number at least the 2**m - 1 non-empty subfamilies, or the scan
-    is exhaustive, every subfamily is answered once from a table indexed by
+    Every non-empty subfamily is answered once from a table indexed by
     subfamily: its entry extends the entry of the same subfamily without its
-    top member, and a sampled run that cannot hit a violator draws nothing.
+    top member.
     """
     m = len(sets)
     # partners[k]: the other members whose set is disjoint from member k's
@@ -192,28 +187,11 @@ def _scan_subfamilies(sets, full, samples, seed, exhaustive):
         sum(1 << j for j in range(m) if j != k and not sets[j] & s)
         for k, s in enumerate(sets)
     ]
-    if exhaustive or samples >= (1 << m) - 1:
-        inter, paired = [full], [False]
-        for s, p in zip(sets, partners):
-            inter += [x & s for x in inter]
-            paired += [q or p & rest != 0 for rest, q in enumerate(paired)]
-        violators = {sub for sub in range(1, 1 << m) if not inter[sub] and not paired[sub]}
-        if exhaustive or not violators:
-            return min(violators, default=None)
-        is_violator = violators.__contains__
-    else:
-        def is_violator(sub):
-            inter = full
-            for k in _bits(sub):
-                inter &= sets[k]
-            return not inter and not any(partners[k] & sub for k in _bits(sub))
-
-    rng = random.Random(seed)
-    for _ in range(samples):
-        sub = rng.randrange(1, 1 << m)
-        if is_violator(sub):
-            return sub
-    return None
+    inter, paired = [full], [False]
+    for s, p in zip(sets, partners):
+        inter += [x & s for x in inter]
+        paired += [q or p & rest != 0 for rest, q in enumerate(paired)]
+    return next((sub for sub in range(1, 1 << m) if not inter[sub] and not paired[sub]), None)
 
 
 def denote_and_map(atom_img, clopen):

@@ -669,12 +669,8 @@ def suite_binary_subbase(config):
     for label, poset in _corpus_for(config):
         if poset.n > 5:
             continue
-        if poset.n <= stone.EXHAUSTIVE_LIMIT:
-            params = {"mode": "exhaustive"}
-        else:
-            params = {"mode": "sampled", "samples": stone.SAMPLES}
-        with rec.case(label, params):
-            witness = stone.check_binary_subbase(poset, config.seed)
+        with rec.case(label, {"mode": "exhaustive"}):
+            witness = stone.check_binary_subbase(poset)
             if witness is not None:
                 raise Witness(witness)
     return rec, {}

@@ -79,7 +79,8 @@ def test_extend_hom_needs_one_image_per_element(source, images):
     (3, [8]),  # a bit past the unit, which used to map x_0 to 0
     (3, [-1]),  # negative, which used to map x_0 to 3
     (0b101, [0b010]),  # a bit inside the unit's width but outside the unit
-], ids=["past-the-unit", "negative", "hole-in-the-unit"])
+    (-1, [1]),  # a negative unit, which every image is below
+], ids=["past-the-unit", "negative", "hole-in-the-unit", "negative-unit"])
 def test_extend_hom_rejects_int_images_outside_the_unit(unit, images):
     with pytest.raises(UnknownElement):
         morphisms.extend_hom(antichain(1), unit, images)
@@ -295,8 +296,9 @@ def test_not_an_embedding(v3):
         morphisms.subposet_embedding(antichain(2), v3, [v3.id("a"), v3.id("a")])
     with pytest.raises(BadArity):
         morphisms.subposet_embedding(antichain(2), v3, [v3.id("a"), v3.id("b"), v3.id("b")])
-    # ids past either end are unknown, not wrapped
-    for bad in (3, -1):
+    # ids past either end are unknown, not wrapped, and a bool is no id, as
+    # in Poset.id
+    for bad in (3, -1, True):
         with pytest.raises(UnknownElement):
             morphisms.subposet_embedding(antichain(1), v3, [bad])
 

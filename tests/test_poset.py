@@ -84,6 +84,8 @@ OUT_OF_RANGE = {
     "minimals": lambda p: p.minimals(1 << 5),
     "maximals-negative": lambda p: p.maximals(-2),
     "is_zero_syntactic": lambda p: algebra.is_zero_syntactic(p, 1 << 4, 1),
+    "is_zero_syntactic-tau": lambda p: algebra.is_zero_syntactic(p, 1, 0b1000),
+    "is_zero_syntactic-negative-tau": lambda p: algebra.is_zero_syntactic(p, 1, -1),
     "pi_leq_masks-s": lambda p: lattice.pi_leq_masks(p, 1 << 4, 1),
     "pi_leq_masks-t": lambda p: lattice.pi_leq_masks(p, 1, 1 << 4),
     "pi_leq_masks-negative-t": lambda p: lattice.pi_leq_masks(p, 1, -1),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from conftest import brute_denote, brute_final_segments, every_element, subalgebra_closure
 from posetalg import algebra, corpus, exprs, morphisms, stone, suites
-from posetalg.errors import CountMismatch, UnknownElement
+from posetalg.errors import CountMismatch, SizeLimit, UnknownElement
 from posetalg.poset import (
     Poset,
     _bits,
@@ -192,6 +192,21 @@ def test_signature_blocks_match_per_point_signatures():
         assert stone.signature_blocks(count, gens) == list(by_sig.values())
 
 
+@pytest.mark.parametrize("gens", [[0b1000, 0], [-1], [0b0101, 0b11000]],
+                         ids=["past-the-points", "negative", "one-bit-past"])
+def test_signature_blocks_reject_generators_outside_the_points(gens):
+    # bits at or past count were dropped, and -1 read as every point
+    with pytest.raises(UnknownElement):
+        stone.signature_blocks(3, gens)
+
+
+def test_generates_rejects_a_clopen_outside_the_space(v3):
+    space = stone.StoneSpace(v3)
+    for bad in (1 << len(space.points), -1):
+        with pytest.raises(UnknownElement):
+            stone.generates(space, [bad, 0])
+
+
 def test_v_set_is_order_embedding():
     for p in corpus.corpus_posets(4):
         space = stone.StoneSpace(p)
@@ -298,17 +313,16 @@ def test_binary_subbase_examples(v3):
     assert stone.check_binary_subbase(chain(2)) is None
 
 
-def _subbase_family(p):
-    """(sets, full): the family {V_p} u {-V_p} that check_binary_subbase scans."""
-    space = stone.StoneSpace(p)
-    family = [stone.v_set(space, i) for i in range(p.n)]
-    return family + [space.full ^ m for m in family], space.full
+def test_binary_subbase_past_the_cap_raises_before_building_a_space(monkeypatch):
+    assert stone.check_binary_subbase(chain(stone.EXHAUSTIVE_LIMIT)) is None
 
+    def refuse(poset):
+        raise AssertionError("built a StoneSpace")
 
-def test_binary_subbase_sampled_path():
-    p = corpus.corpus_posets(5)[-1]
-    assert stone._scan_subfamilies(*_subbase_family(p), 500, 3, False) is None
-    assert stone.check_binary_subbase(p, seed=3) is None  # SAMPLES draws at n = 5
+    monkeypatch.setattr(stone, "StoneSpace", refuse)
+    for p in (antichain(stone.EXHAUSTIVE_LIMIT + 1), chain(stone.EXHAUSTIVE_LIMIT + 3)):
+        with pytest.raises(SizeLimit):
+            stone.check_binary_subbase(p)
 
 
 def test_binary_subbase_brute_force_small():
@@ -329,9 +343,9 @@ def test_binary_subbase_brute_force_small():
                 )
 
 
-def _reference_scan(sets, full, samples, seed, exhaustive):
-    """The subfamily scan as it was before the table: every candidate checked
-    from scratch, pairs by ``combinations``."""
+def _reference_scan(sets, full):
+    """The subfamily scan as it was before the table: every subfamily checked
+    from scratch, lowest first, pairs by ``combinations``."""
     m = len(sets)
 
     def violates(ids):
@@ -342,12 +356,7 @@ def _reference_scan(sets, full, samples, seed, exhaustive):
             return False
         return all(sets[a] & sets[b] for a, b in combinations(ids, 2))
 
-    if exhaustive:
-        candidates = range(1, 1 << m)
-    else:
-        rng = random.Random(seed)
-        candidates = (rng.randrange(1, 1 << m) for _ in range(samples))
-    for sub in candidates:
+    for sub in range(1, 1 << m):
         if violates(list(_bits(sub))):
             return sub
     return None
@@ -364,32 +373,11 @@ def test_scan_subfamilies_matches_reference_scan():
         families.append(([rng.randint(0, full) for _ in range(m)], full))
     violating = 0
     for sets, full in families:
-        size = (1 << len(sets)) - 1
-        lowest = _reference_scan(sets, full, 0, 0, True)
-        assert stone._scan_subfamilies(sets, full, 0, 0, True) == lowest
+        lowest = _reference_scan(sets, full)
+        assert stone._scan_subfamilies(sets, full) == lowest, (sets, full)
         violating += lowest is not None
-        # the table path from 2**m - 1 draws up, the per-draw path below it
-        for samples in (1, size - 1, size, 3 * size):
-            for seed in range(4):
-                expected = _reference_scan(sets, full, samples, seed, False)
-                got = stone._scan_subfamilies(sets, full, samples, seed, False)
-                assert got == expected, (sets, full, samples, seed)
-    assert stone._scan_subfamilies([0b011, 0b110, 0b101], 0b111, 0, 0, True) == 0b111
+    assert stone._scan_subfamilies([0b011, 0b110, 0b101], 0b111) == 0b111
     assert 20 < violating < len(families) - 20
-
-
-def test_binary_subbase_draws_nothing_when_no_subfamily_violates(v3, monkeypatch):
-    class NoDraws(random.Random):
-        def randrange(self, *args):
-            raise AssertionError("drew a subfamily")
-
-    monkeypatch.setattr(stone.random, "Random", NoDraws)
-    # v3 has 2 * 3 members: 63 non-empty subfamilies, none violating
-    sets, full = _subbase_family(v3)
-    assert stone._scan_subfamilies(sets, full, 63, 0, False) is None
-    assert stone._scan_subfamilies(sets, full, 10000, 0, False) is None
-    with pytest.raises(AssertionError, match="drew"):
-        stone._scan_subfamilies(sets, full, 62, 0, False)
 
 
 # -- interval algebra ---------------------------------------------------------------
