@@ -148,6 +148,8 @@ def lattice_closure(poset, gens):
     than ``LATTICE_CLOSURE_CAP`` of them raise ClosureOverflow.
     """
     for e in gens:
+        if not isinstance(e, algebra.AlgebraElem):
+            raise TypeError(f"expected an AlgebraElem generator, got {type(e).__name__}")
         if e.poset is not poset:
             raise PosetMismatch("generator over a different poset")
     closed = {}

@@ -273,6 +273,8 @@ class EMap:
 
     def row_hom(self, a):
         """Extension of q -> column_hom(q)(a); needs a to make it monotone."""
+        if not isinstance(a, algebra.AlgebraElem):
+            raise TypeError(f"expected an AlgebraElem, got {type(a).__name__}")
         key = algebra.canonical_key(a)
         hom = self._row_homs.get(key)
         if hom is None:

@@ -8,7 +8,7 @@ are plain Python ints used as bitmasks; ``up[i]`` is the bitmask row
 from __future__ import annotations
 
 import random
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 
 from .errors import (
     BadArity,
@@ -99,22 +99,38 @@ def _gather(tables, mask):
     return out
 
 
-# rows that transpose formats into one string, so its temporaries stay about
-# this many times ``width`` characters however many rows there are
+# rows that transpose packs into one int and formats as one binary string, so
+# its temporaries stay about this many times ``width`` (rounded up to whole
+# bytes) characters however many rows there are
 _TRANSPOSE_BLOCK = 4096
 
 
 def transpose(rows, width):
     """Columns of a bit matrix: bit i of out[j] is set iff bit j of rows[i]
-    is, for j < width.  Each block of rows is joined, last row first, as
-    ``width``-wide binary strings, so column j is one stride slice of it."""
+    is, for j < width.  A negative row raises UnknownElement.
+
+    Each block of rows is packed by C-level calls alone: every row goes to
+    ``stride`` bits (``width`` rounded up to whole bytes) little-endian, the
+    bytes are read as one int with row i at bit ``i * stride``, and that int
+    is formatted as one binary string, most significant bit first.  Column j
+    is then the stride slice from ``stride - 1 - j``, last row first.  A
+    block with a row at or past ``1 << width`` is masked to ``width`` first.
+    """
     out = [0] * width
-    keep, fmt = (1 << width) - 1, f"0{width}b"
+    keep = (1 << width) - 1
+    size = (width + 7) >> 3
+    stride = size << 3
     for start in range(0, len(rows), _TRANSPOSE_BLOCK):
         block = rows[start:start + _TRANSPOSE_BLOCK]
-        big = "".join([format(row & keep, fmt) for row in reversed(block)])
-        for c in range(width):
-            out[width - 1 - c] |= int(big[c::width], 2) << start
+        if min(block) < 0:
+            raise UnknownElement(f"negative row {min(block)}")
+        if max(block) > keep:
+            block = [row & keep for row in block]
+        # length and byte order are positional, as Python 3.10 requires both
+        packed = b"".join(map(int.to_bytes, block, repeat(size), repeat("little")))
+        text = format(int.from_bytes(packed, "little"), f"0{stride * len(block)}b")
+        for j in range(width):
+            out[j] |= int(text[stride - 1 - j::stride], 2) << start
     return out
 
 
@@ -283,6 +299,10 @@ class Poset:
         return m
 
     def names_of(self, mask):
+        """Names of the ids in ``mask``; UnknownElement if it has a bit past
+        the last element or is negative (which shifts to -1)."""
+        if mask >> self.n:
+            raise UnknownElement(f"mask {mask:#x} has bits outside the {self.n} elements")
         return [self.names[i] for i in _bits(mask)]
 
     # -- order queries -----------------------------------------------------

@@ -20,7 +20,7 @@ trace list and a wrong count raises ``CountMismatch``.
 from __future__ import annotations
 
 from . import algebra
-from .errors import CountMismatch, PosetMismatch, SizeLimit, UnknownElement
+from .errors import CountMismatch, ParseError, PosetMismatch, SizeLimit, UnknownElement
 from .poset import _bits, transpose
 
 # check_binary_subbase decides all 4**n subfamilies of a poset of n elements
@@ -87,19 +87,29 @@ def denote_elem(space, e):
 
 
 def denote_expr(space, node):
-    """Set-theoretic denotation of an expression tree (no symbolic algebra)."""
-    kind = node[0]
-    if kind == "var":
+    """Set-theoretic denotation of an expression tree (no symbolic algebra).
+    A node that is no tuple of one of ``exprs``' shapes, or a tree too deep
+    to evaluate, raises ParseError; the shapes are checked here, so the
+    oracle reads nothing of the parser."""
+    try:
+        return _denote(space, node)
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
+
+
+def _denote(space, node):
+    shape = (node[0], len(node)) if node.__class__ is tuple and node else None
+    if shape == ("var", 2):
         return v_set(space, node[1])
-    if kind == "const":
+    if shape == ("const", 2):
         return space.full if node[1] else 0
-    if kind == "not":
-        return space.full ^ denote_expr(space, node[1])
-    if kind == "and":
-        return denote_expr(space, node[1]) & denote_expr(space, node[2])
-    if kind == "or":
-        return denote_expr(space, node[1]) | denote_expr(space, node[2])
-    raise PosetMismatch(f"bad node {node!r}")
+    if shape == ("not", 2):
+        return space.full ^ _denote(space, node[1])
+    if shape == ("and", 3):
+        return _denote(space, node[1]) & _denote(space, node[2])
+    if shape == ("or", 3):
+        return _denote(space, node[1]) | _denote(space, node[2])
+    raise ParseError(f"bad node {node!r}")
 
 
 def elem_from_clopen(space, mask):
@@ -133,8 +143,11 @@ def atom_partition_fault(atom_img, unit):
     clopens below unit, or None.
 
     That needs every atom image nonzero and the images pairwise disjoint
-    (then the map is injective), and their union equal to the unit.
+    (then the map is injective), and their union equal to the unit.  A
+    negative image or unit raises UnknownElement.
     """
+    if unit < 0 or min(atom_img, default=0) < 0:
+        raise UnknownElement("negative atom image or unit")
     union = 0
     for img in atom_img:
         if not img or img & union:

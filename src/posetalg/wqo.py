@@ -71,6 +71,8 @@ def classify_array(arr):
     bad: no preceding pair ascends; perfect: all do; mixed carries one
     witness of each kind.
     """
+    if not isinstance(arr, ArrayLabeling):
+        raise TypeError(f"expected an ArrayLabeling, got {type(arr).__name__}")
     poset = arr.poset
     good_witness = None
     bad_witness = None

@@ -13,7 +13,8 @@ import click
 import pytest
 
 import posetalg
-from posetalg import algebra, corpus, morphisms
+from posetalg import algebra, corpus, lattice, morphisms, poset, stone, wqo
+from posetalg.errors import ParseError, UnknownElement
 
 CAP_PARAMETERS = {
     "max_elements", "max_count", "max_size", "max_term_size", "cap", "exhaustive_limit",
@@ -75,6 +76,41 @@ def test_mask_functions_reject_name_lists(name):
     # names are resolved by Poset.id and Poset.mask, never inside these calls
     with pytest.raises(TypeError):
         NAME_LISTS[name](corpus.v3())
+
+
+
+def _nested_not(depth):
+    node = ("var", "a")
+    for _ in range(depth):
+        node = ("not", node)
+    return node
+
+
+# a bad input at a public entry, once read as something else or failing with
+# a bare IndexError or AttributeError, and the typed error it raises now
+BAD_INPUTS = {
+    "transpose-negative-row": (UnknownElement, lambda p: poset.transpose([-1], 3)),
+    "max_antichain-negative-mask": (UnknownElement, lambda p: lattice.max_antichain([1], [-1])),
+    "names_of-past-the-poset": (UnknownElement, lambda p: p.names_of(1 << 5)),
+    "atom_partition_fault-negative": (UnknownElement, lambda p: stone.atom_partition_fault([-1], -1)),
+    "denote_expr-var-without-name": (ParseError, lambda p: stone.denote_expr(stone.StoneSpace(p), ("var",))),
+    "denote_expr-not-without-operand": (ParseError, lambda p: stone.denote_expr(stone.StoneSpace(p), ("not",))),
+    "denote_expr-and-with-one-operand": (
+        ParseError, lambda p: stone.denote_expr(stone.StoneSpace(p), ("and", ("var", "a")))),
+    "denote_expr-empty-node": (ParseError, lambda p: stone.denote_expr(stone.StoneSpace(p), ())),
+    "denote_expr-list-node": (ParseError, lambda p: stone.denote_expr(stone.StoneSpace(p), ["var", "a"])),
+    "denote_expr-too-deep": (ParseError, lambda p: stone.denote_expr(stone.StoneSpace(p), _nested_not(5000))),
+    "lattice_closure-int": (TypeError, lambda p: lattice.lattice_closure(p, [32])),
+    "EMap.row_hom-int": (TypeError, lambda p: morphisms.EMap(p, p).row_hom(9)),
+    "classify_array-None": (TypeError, lambda p: wqo.classify_array(None)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_inputs_raise_typed_errors(name):
+    error, call = BAD_INPUTS[name]
+    with pytest.raises(error):
+        call(corpus.v3())
 
 
 def _unreferenced_public_definitions(src):

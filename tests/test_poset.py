@@ -496,6 +496,19 @@ def test_transpose_matches_definition():
             assert transpose(cols, count) == [row & ((1 << width) - 1) for row in rows]
 
 
+
+@pytest.mark.parametrize("width", [0, 8, 9, 16, 17, 63, 65, 200])
+def test_transpose_matches_the_double_loop_at_byte_edges(width):
+    """Rows packed to whole bytes: at and either side of a byte edge, on a
+    tuple of rows (as ``StoneSpace.points`` is) over two blocks, with rows
+    that fit the width and rows with bits past it."""
+    rng = random.Random(width)
+    for extra in (0, 9):
+        rows = tuple(rng.getrandbits(width + extra) for _ in range(_TRANSPOSE_BLOCK + 3))
+        expected = [sum(1 << i for i, row in enumerate(rows) if row >> j & 1) for j in range(width)]
+        assert transpose(rows, width) == expected, (width, extra)
+
+
 def test_sizes_at_or_below_zero_give_the_empty_poset():
     """n <= 0 is the empty poset, as range(n) is empty, for each sized
     constructor."""
