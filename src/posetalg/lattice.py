@@ -13,6 +13,8 @@ against the Stone oracle rather than trusting axiomatically).
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
+from operator import or_
 
 from . import algebra
 from .errors import BadArity, ClosureOverflow, EnumerationOverflow, PosetMismatch, UnknownElement
@@ -79,7 +81,11 @@ class LatticeElem:
 
 
 def l_leq(a, b):
-    """a <= b: every term of a sits below some term of b (join-primeness)."""
+    """a <= b: every term of a sits below some term of b (join-primeness).
+    An operand that is not a LatticeElem raises TypeError."""
+    if not (isinstance(a, LatticeElem) and isinstance(b, LatticeElem)):
+        bad = b if isinstance(a, LatticeElem) else a
+        raise TypeError(f"expected a LatticeElem, got {type(bad).__name__}")
     if a.poset is not b.poset:
         raise PosetMismatch("lattice elements over different posets")
     return all(
@@ -90,23 +96,27 @@ def l_leq(a, b):
 # -- enumeration ---------------------------------------------------------------
 
 
-def _antichains(comp):
-    """All antichains as masks, the empty one first, of the items 0..n-1
-    where comp[i] holds the items comparable to i, in depth-first order.
-    More than ``ANTICHAIN_CAP`` of them raise EnumerationOverflow."""
+def _antichains(comp, items, empty):
+    """Every antichain of the indices 0..n-1, where comp[i] holds the
+    indices comparable to i, as the union of its items: ``empty`` ORed with
+    items[i] for each of its indices i.  The empty antichain comes first,
+    then the walk's depth-first order.  Items ``1 << i`` from 0 give each
+    antichain's mask; one-term frozensets from an empty one give the set of
+    its terms.  More than ``ANTICHAIN_CAP`` antichains raise
+    EnumerationOverflow."""
     cap = ANTICHAIN_CAP
-    out = [0]
-    stack = [(0, 0)]  # (next candidate, chosen mask)
+    out = [empty]
+    stack = [(0, 0, empty)]  # (next candidate, chosen mask, union of its items)
     while stack:
-        start, chosen = stack.pop()
+        start, chosen, total = stack.pop()
         for i in range(start, len(comp)):
             if comp[i] & chosen:
                 continue
-            mask = chosen | (1 << i)
-            out.append(mask)
+            value = total | items[i]
+            out.append(value)
             if len(out) > cap:
                 raise EnumerationOverflow(f"more than {cap} antichains")
-            stack.append((i + 1, mask))
+            stack.append((i + 1, chosen | 1 << i, value))
     return out
 
 
@@ -116,7 +126,7 @@ def enumerate_pi(poset, include_unit=True):
     ``include_unit`` admits the empty product (the unit).
     """
     comp = [up | down for up, down in zip(poset.up, poset.down)]
-    masks = _antichains(comp)
+    masks = _antichains(comp, [1 << i for i in range(poset.n)], 0)
     if not include_unit:
         masks = masks[1:]
     masks.sort(key=lambda m: (popcount(m), m))
@@ -128,13 +138,15 @@ def enumerate_l(poset, include_unit=True):
 
     The empty join (zero) is representable but not enumerated, matching the
     reading of the lattice as generated from the products by binary joins.
+    Each element's term set is built on the antichain walk, as the union of
+    its parent's with one more term, and is the set the element keeps.
     """
     pis = enumerate_pi(poset, include_unit=include_unit)
     less = _strict_less_rows(term_segments(poset, pis))
     comp = [a | b for a, b in zip(less, transpose(less, len(less)))]
     return [
-        LatticeElem(poset, [pis[i] for i in _bits(mask)])
-        for mask in _antichains(comp)[1:]
+        LatticeElem(poset, terms)
+        for terms in _antichains(comp, [frozenset((s,)) for s in pis], frozenset())[1:]
     ]
 
 
@@ -182,31 +194,39 @@ def is_iso_IS_to_Pi(poset):
     """Check that ``term_segments`` is an order isomorphism from the product
     terms onto the initial segments.
 
+    The segments must be initial, distinct and all of them.  Then every pair
+    of terms is decided by rows: ``_subset_rows(pis, ups)`` gives, for each
+    tau, the sigmas whose up-set holds tau (the pointwise rule), and
+    ``_subset_rows(ups, ups)`` the sigmas whose segment lies in tau's.  Their
+    XOR holds the pairs on which the two orders disagree; the witness is the
+    first in sigma-major order: the lowest sigma, then its lowest tau.
+
     Returns None when it is, else a dict describing the first failure.
     """
     pis = enumerate_pi(poset, include_unit=True)
+    segs = term_segments(poset, pis)
     segments = set(poset.initial_segments())
-    image = {}
     seen = set()
-    for s, seg in zip(pis, term_segments(poset, pis)):
+    for s, seg in zip(pis, segs):
         if seg not in segments:
             return {"reason": "image not an initial segment", "sigma": s}
         if seg in seen:
             return {"reason": "not injective", "sigma": s}
         seen.add(seg)
-        image[s] = seg
-    if len(image) != len(segments):
+    if len(seen) != len(segments):
         return {
             "reason": "not surjective",
-            "products": len(image),
+            "products": len(seen),
             "segments": len(segments),
         }
-    for s in pis:
-        for t in pis:
-            seg_incl = image[s] | image[t] == image[t]
-            if pi_leq_masks(poset, s, t) != seg_incl:
-                return {"reason": "order mismatch", "sigma": s, "tau": t}
-    return None
+    ups = [poset.full ^ seg for seg in segs]
+    diffs = [a ^ b for a, b in zip(_subset_rows(pis, ups), _subset_rows(ups, ups))]
+    bad = reduce(or_, diffs, 0)
+    if not bad:
+        return None
+    s = (bad & -bad).bit_length() - 1
+    t = next(t for t, row in enumerate(diffs) if row >> s & 1)
+    return {"reason": "order mismatch", "sigma": pis[s], "tau": pis[t]}
 
 
 # -- antichain mining ------------------------------------------------------------

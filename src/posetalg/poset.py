@@ -107,7 +107,8 @@ _TRANSPOSE_BLOCK = 4096
 
 def transpose(rows, width):
     """Columns of a bit matrix: bit i of out[j] is set iff bit j of rows[i]
-    is, for j < width.  A negative row raises UnknownElement.
+    is, for j < width.  A negative row raises UnknownElement, a negative
+    width BadArity.
 
     Each block of rows is packed by C-level calls alone: every row goes to
     ``stride`` bits (``width`` rounded up to whole bytes) little-endian, the
@@ -116,6 +117,8 @@ def transpose(rows, width):
     is then the stride slice from ``stride - 1 - j``, last row first.  A
     block with a row at or past ``1 << width`` is masked to ``width`` first.
     """
+    if width < 0:
+        raise BadArity(f"negative width {width}")
     out = [0] * width
     keep = (1 << width) - 1
     size = (width + 7) >> 3

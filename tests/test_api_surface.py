@@ -14,7 +14,7 @@ import pytest
 
 import posetalg
 from posetalg import algebra, corpus, lattice, morphisms, poset, stone, wqo
-from posetalg.errors import ParseError, UnknownElement
+from posetalg.errors import BadArity, ParseError, UnknownElement
 
 CAP_PARAMETERS = {
     "max_elements", "max_count", "max_size", "max_term_size", "cap", "exhaustive_limit",
@@ -103,6 +103,8 @@ BAD_INPUTS = {
     "lattice_closure-int": (TypeError, lambda p: lattice.lattice_closure(p, [32])),
     "EMap.row_hom-int": (TypeError, lambda p: morphisms.EMap(p, p).row_hom(9)),
     "classify_array-None": (TypeError, lambda p: wqo.classify_array(None)),
+    "transpose-negative-width": (BadArity, lambda p: poset.transpose([1], -1)),
+    "l_leq-int": (TypeError, lambda p: lattice.l_leq(lattice.enumerate_l(p)[0], 5)),
 }
 
 

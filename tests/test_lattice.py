@@ -199,6 +199,41 @@ def test_enumerate_l_chain():
     assert {str(e) for e in lattice.enumerate_l(c)} == {"1", "x{0}", "x{1}", "x{2}"}
 
 
+def _reference_antichains(comp):
+    """Every antichain mask of the items, listed as the depth-first walk
+    pushes it: the empty one, the singletons, then each last pushed first."""
+    out = [0]
+    stack = [(0, 0)]
+    while stack:
+        start, chosen = stack.pop()
+        for i in range(start, len(comp)):
+            if not comp[i] & chosen:
+                out.append(chosen | 1 << i)
+                stack.append((i + 1, chosen | 1 << i))
+    return out
+
+
+def _reference_enumerate_l(p, include_unit):
+    """The term sets of the lattice elements, in listing order, by decoding
+    each antichain mask of the terms, comparability read from pi_leq_masks."""
+    pis = lattice.enumerate_pi(p, include_unit=include_unit)
+    comp = [
+        sum(1 << j for j, t in enumerate(pis)
+            if lattice.pi_leq_masks(p, s, t) or lattice.pi_leq_masks(p, t, s))
+        for s in pis
+    ]
+    return [frozenset(pis[i] for i in _bits(m)) for m in _reference_antichains(comp)[1:]]
+
+
+@pytest.mark.parametrize("include_unit", [True, False])
+def test_enumerate_l_matches_the_mask_decoding_list(include_unit):
+    # past rado_prefix(3) the lattice has more than ANTICHAIN_CAP elements
+    posets = list(corpus.corpus_posets(5)) + [rado_prefix(3), antichain(5)]
+    for p in posets:
+        got = [e.terms for e in lattice.enumerate_l(p, include_unit=include_unit)]
+        assert got == _reference_enumerate_l(p, include_unit)
+
+
 def test_enumeration_counts_antichain5():
     # free distributive lattice on five fully incomparable generators
     a5 = antichain(5)
@@ -262,6 +297,44 @@ def test_is_iso_examples(v3):
         assert lattice.is_iso_IS_to_Pi(c) is None
         assert len(lattice.enumerate_pi(c)) == n + 1
     assert lattice.is_iso_IS_to_Pi(rado_prefix(3)) is None
+
+
+def _reference_order_mismatch(p):
+    """The first (sigma, tau), sigma-major, on which pi_leq_masks and the
+    inclusion of term segments disagree, by a double loop; None if none."""
+    pis = lattice.enumerate_pi(p, include_unit=True)
+    seg = dict(zip(pis, lattice.term_segments(p, pis)))
+    for s in pis:
+        for t in pis:
+            if lattice.pi_leq_masks(p, s, t) != (seg[s] | seg[t] == seg[t]):
+                return {"reason": "order mismatch", "sigma": s, "tau": t}
+    return None
+
+
+def test_is_iso_holds_on_the_corpus_and_rado_prefixes():
+    for p in list(corpus.corpus_posets(5)) + [rado_prefix(n) for n in (3, 4, 5)]:
+        assert lattice.is_iso_IS_to_Pi(p) is None
+        assert _reference_order_mismatch(p) is None
+
+
+def test_is_iso_order_witness_matches_the_double_loop(monkeypatch):
+    # fresh copies, so that no corpus poset keeps anything built under the fault
+    posets = [Poset(p.names, p.up) for p in corpus.corpus_posets(4) if p.n > 1]
+    posets += [rado_prefix(3), rado_prefix(4)]
+    swap = {}  # poset id -> {sigma: the sigma whose up-set it is given}
+    real = Poset.upset
+    monkeypatch.setattr(Poset, "upset", lambda self, mask: real(self, swap.get(id(self), {}).get(mask, mask)))
+    mismatches = 0
+    for p in posets:
+        pis = lattice.enumerate_pi(p, include_unit=True)
+        for a, b in ((1, 2), (0, len(pis) - 1), (2, len(pis) - 2)):
+            s, t = pis[a], pis[b]
+            swap[id(p)] = {s: t, t: s}
+            expected = _reference_order_mismatch(p)
+            assert lattice.is_iso_IS_to_Pi(p) == expected, (p.up, s, t)
+            mismatches += expected is not None
+        swap.pop(id(p))
+    assert mismatches > 0
 
 
 # -- antichain mining ---------------------------------------------------------------------------

@@ -345,10 +345,10 @@ def test_enumeration_caps(monkeypatch):
         antichain(21).initial_segments()  # 2**21 down-sets, past MAX_SEGMENTS
 
     comp = [1 << i for i in range(12)]  # 12 items, each comparable only to itself
-    assert len(lattice._antichains(comp)) == 4096
+    assert len(lattice._antichains(comp, comp, 0)) == 4096
     monkeypatch.setattr(lattice, "ANTICHAIN_CAP", 50)
     with pytest.raises(EnumerationOverflow):
-        lattice._antichains(comp)
+        lattice._antichains(comp, comp, 0)
 
 
 def test_linear_augmentation_extends_order():

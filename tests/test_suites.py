@@ -220,6 +220,38 @@ def _fresh_interpreter(code):
     return out.stdout.strip()
 
 
+# a fault, and a suite that must fail at least one record of the full run
+# under it: pi-order reads pi_leq_masks on every pair, is-pi-iso the up-sets
+# of the terms; each runs in its own interpreter, as the corpus keeps its
+# posets and their caches for the life of a process
+CERTIFIED_FAULTS = {
+    "flipped-pi_leq_masks": (
+        "real = lattice.pi_leq_masks\n"
+        "lattice.pi_leq_masks = lambda poset, s, t: not real(poset, s, t)\n",
+        "pi-order",
+    ),
+    "swapped-upset": (
+        "real = Poset.upset\n"
+        "Poset.upset = lambda self, mask: real(self, {1: 2, 2: 1}.get(mask, mask) if self.n > 1 else mask)\n",
+        "is-pi-iso",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CERTIFIED_FAULTS))
+def test_a_fault_fails_the_suite_that_certifies_it(fault):
+    patch, suite = CERTIFIED_FAULTS[fault]
+    code = (
+        "from posetalg import lattice, suites\n"
+        "from posetalg.poset import Poset\n"
+        + patch
+        + "config = suites.SuiteConfig(max_size=4, samples=100, horizon=6)\n"
+        "report = suites.run_suite('all', config)\n"
+        "print(' '.join(sub['suite'] for sub in report['suites'] if sub['failures']))\n"
+    )
+    assert suite in _fresh_interpreter(code).split()
+
+
 def test_no_numpy_on_the_import_and_suite_path():
     code = (
         "import sys, importlib, posetalg\n"
