@@ -308,13 +308,17 @@ def product_elem(poset, sigma):
 
 def join_products(poset, sigmas):
     """The join of the products x_sigma over masks ``sigmas`` (0 when empty),
-    evaluated in one pass on the columns of their union support."""
+    evaluated in one pass on the columns of their union support: each
+    term's columns ANDed, the terms ORed."""
     sigmas = list(sigmas)
     support = reduce(or_, sigmas, 0)
     cols, full = _columns(poset, support)
     truth = 0
     for s in sigmas:
-        truth |= _product_truth(cols, full, s)
+        term = full
+        for p in _bits(s):
+            term &= cols[p]
+        truth |= term
     return AlgebraElem(poset, support, truth)
 
 

@@ -330,12 +330,20 @@ def lex_layering_check(index, parts):
         ]
         for part, off in zip(parts, offsets)
     ]
+    built = {}  # each lattice element's algebra element, built on first use
+
+    def elem(le):
+        e = built.get(le)
+        if e is None:
+            e = built[le] = le.to_elem()
+        return e
+
     for xi in range(index.n):
         for zeta in _bits(index.up[xi] & ~(1 << xi)):
             for g in lattices[xi]:
-                ge = g.to_elem()
+                ge = elem(g)
                 for h in lattices[zeta]:
-                    he = h.to_elem()
+                    he = elem(h)
                     if not algebra.leq(ge, he) or algebra.equals(ge, he):
                         return {
                             "lower_index": index.names[xi],
@@ -371,7 +379,10 @@ def h_construction(poset, chain_elems):
     product terms there, and contributes x_{chain[n-1]} + y * x_{chain[n]}
     for each such y (with x_{chain[-1]} taken as zero).  Returns the family,
     whether it generates the whole algebra, and whether the step layering
-    holds between all earlier/later contributions.
+    holds: each contribution of step n lies below x_{chain[n]} and above
+    x_{chain[n-1]}, one ``leq`` each.  As the chain increases, x_{chain[m]}
+    lies below x_{chain[n-1]} for every m < n, so that puts every earlier
+    contribution below every later one.
     """
     if not is_directed(poset):
         raise NotDirected("h_construction needs a directed poset")
@@ -387,7 +398,6 @@ def h_construction(poset, chain_elems):
 
     blocks = []
     elems = [algebra.zero(poset)]
-    layering = True
     x_chain = [algebra.gen(poset, c) for c in chain_ids]
     prev_gen = algebra.zero(poset)
     for n, c in enumerate(chain_ids):
@@ -402,18 +412,13 @@ def h_construction(poset, chain_elems):
         elems.extend(block)
         prev_gen = x_chain[n]
 
-    # layering: earlier contributions below x at their step, later ones above
-    for m in range(len(chain_ids)):
-        for h_m in blocks[m]:
-            if not algebra.leq(h_m, x_chain[m]):
-                layering = False
-        for n in range(m + 1, len(chain_ids)):
-            if not poset.leq(chain_ids[m], chain_ids[n - 1]):
-                layering = False
-            for h_n in blocks[n]:
-                if not algebra.leq(x_chain[n - 1], h_n):
-                    layering = False
-
+    # layering: each step's contributions lie below x at that step and above
+    # x at the step before, so above the x of every earlier step, as the
+    # chain, checked strictly increasing, orders those below it
+    layering = all(
+        algebra.leq(h, x_chain[n]) and (n == 0 or algebra.leq(x_chain[n - 1], h))
+        for n, block in enumerate(blocks) for h in block
+    )
     return HConstructionResult(elems, _generates(poset, elems), layering, blocks)
 
 

@@ -15,13 +15,15 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from functools import reduce
 from itertools import combinations, product
-from operator import or_
+from operator import and_, or_
 
 from . import algebra, corpus, lattice, morphisms, stone, wqo
 from .errors import CountMismatch, PremiseFailed, SizeLimit
 from .poset import (
     MAX_ELEMENTS,
     _bits,
+    _byte_tables,
+    _gather,
     antichain,
     chain,
     linear_augmentation,
@@ -144,16 +146,26 @@ def _product_denotation(space, sigma):
 
 def _fact24_check(space, pairs, case):
     """Check the syntactic zero test on each (sigma, tau) pair against the
-    clopen of x_sigma * -x_tau, counting the pairs on the case."""
+    clopen of x_sigma * -x_tau, counting each pair on the case before it is
+    checked.
+
+    The oracle is the product clopen of sigma (the AND of its generator
+    clopens) ANDed with the co-product clopen of tau (the points holding no
+    element of tau).  Each is built once per space, on its first use, as the
+    pairs may be drawn at random."""
     poset = space.poset
     vsets = [stone.v_set(space, p) for p in range(poset.n)]
+    products = {}
+    coproducts = {}
     for s, t in pairs:
         case.cases += 1
-        oracle = space.full
-        for p in _bits(s):
-            oracle &= vsets[p]
-        for q in _bits(t):
-            oracle &= space.full ^ vsets[q]
+        prod = products.get(s)
+        if prod is None:
+            prod = products[s] = reduce(and_, [vsets[p] for p in _bits(s)], space.full)
+        coprod = coproducts.get(t)
+        if coprod is None:
+            coprod = coproducts[t] = space.full & ~reduce(or_, [vsets[q] for q in _bits(t)], 0)
+        oracle = prod & coprod
         syn = algebra.is_zero_syntactic(poset, s, t)
         if syn != (oracle == 0):
             raise Witness({
@@ -218,7 +230,37 @@ def suite_pi_order(config):
 # -- 3. join-primeness and the lattice order decision -----------------------------
 
 
+def _first_join_split(dens, width):
+    """(count, split) for the clopens ``dens`` over ``width`` points: split
+    is the first (i, j, k) in lexicographic order at which they break
+    join-primeness, dens[i] inside dens[j] | dens[k] but inside neither, or
+    None; count is the number of triples the lexicographic triple loop
+    checks up to and including it, all m**3 of them when there is none.
+
+    The byte tables ``missing`` hold the complemented point columns: bit j
+    of column p is set iff dens[j] misses point p.  So the j whose clopen
+    holds a mask are the complement of one ``_gather`` of the mask: the
+    subset rows of ``lattice._subset_rows``.  For each i, ``inside`` is the
+    row of dens[i]; for each j outside it, ascending, the k that complete a
+    split are those outside it whose clopen holds dens[i] - dens[j]."""
+    m = len(dens)
+    everything = (1 << m) - 1
+    missing = _byte_tables([everything ^ col for col in transpose(dens, width)])
+    for i, den in enumerate(dens):
+        inside = everything ^ _gather(missing, den)
+        for j in _bits(everything ^ inside):
+            ks = everything ^ (inside | _gather(missing, den & ~dens[j]))
+            if ks:
+                k = (ks & -ks).bit_length() - 1
+                return (i * m + j) * m + k + 1, (i, j, k)
+    return m ** 3, None
+
+
 def suite_join_prime(config):
+    """Join-primeness of the products, then the lattice order, against the
+    Stone oracle.  The triples of products are decided by rows
+    (``_first_join_split``) and counted as the triple loop over them counts
+    its checks; the lattice order is ``_l_leq_vs_oracle``."""
     rec = _Recorder("join-prime")
     include_unit = not config.strict
     for label, poset in _corpus_for(config):
@@ -228,15 +270,15 @@ def suite_join_prime(config):
             space = stone.StoneSpace(poset)
             pis = lattice.enumerate_pi(poset, include_unit=include_unit)
             dens = [_product_denotation(space, s) for s in pis]
-            for i, j, k in product(range(len(pis)), repeat=3):
-                case.cases += 1
-                if dens[i] & ~(dens[j] | dens[k]) == 0:
-                    if dens[i] & ~dens[j] != 0 and dens[i] & ~dens[k] != 0:
-                        raise Witness({
-                            "sigma": poset.names_of(pis[i]),
-                            "tau1": poset.names_of(pis[j]),
-                            "tau2": poset.names_of(pis[k]),
-                        })
+            count, split = _first_join_split(dens, len(space.points))
+            case.cases += count
+            if split is not None:
+                i, j, k = split
+                raise Witness({
+                    "sigma": poset.names_of(pis[i]),
+                    "tau1": poset.names_of(pis[j]),
+                    "tau2": poset.names_of(pis[k]),
+                })
             mism = _l_leq_vs_oracle(poset, space, pis, dens, include_unit)
             case.cases += mism["cases"]
             if mism["witness"] is not None:
@@ -245,10 +287,18 @@ def suite_join_prime(config):
 
 
 def _l_leq_vs_oracle(poset, space, pis, dens, include_unit):
-    """Pairwise l_leq vs denotation inclusion over the full lattice enumeration."""
-    pi_index = {s: i for i, s in enumerate(pis)}
+    """Pairwise l_leq vs denotation inclusion over the full lattice enumeration.
+
+    ``below_col[t]`` holds the terms s with x_s <= x_t, one ``pi_leq_masks``
+    per pair of terms.  An element's term mask (bit i for ``pis[i]``) then
+    gives, by one ``_gather`` each, the terms its terms cover and its clopen
+    (the OR of ``dens`` over its terms).  a <= b symbolically iff a's terms
+    are among those b's cover, and by the oracle iff a's clopen lies in b's;
+    ``_subset_rows`` decides each order for every pair, and the witness is
+    the first pair in row-major order on which they differ.
+    """
+    bit_of = {s: 1 << i for i, s in enumerate(pis)}
     elems = lattice.enumerate_l(poset, include_unit=include_unit)
-    # column t: bitmask over product indices s with x_s <= x_t
     below_col = []
     for t in pis:
         col = 0
@@ -256,21 +306,11 @@ def _l_leq_vs_oracle(poset, space, pis, dens, include_unit):
             if lattice.pi_leq_masks(poset, s, t):
                 col |= 1 << i
         below_col.append(col)
-    term_mask = []
-    covered = []
-    den = []
-    for e in elems:
-        tm = 0
-        cov = 0
-        dn = 0
-        for sigma in e.terms:
-            idx = pi_index[sigma]
-            tm |= 1 << idx
-            cov |= below_col[idx]
-            dn |= dens[idx]
-        term_mask.append(tm)
-        covered.append(cov)
-        den.append(dn)
+    term_mask = [sum(map(bit_of.__getitem__, e.terms)) for e in elems]
+    below = _byte_tables(below_col)
+    clopens = _byte_tables(dens)
+    covered = [_gather(below, tm) for tm in term_mask]
+    den = [_gather(clopens, tm) for tm in term_mask]
     n = len(elems)
     witness = None
     sym_rows = lattice._subset_rows(term_mask, covered)
@@ -303,7 +343,29 @@ def suite_is_pi_iso(config):
 # -- 5. chain collapse ---------------------------------------------------------------
 
 
+def _pullback_tables(pullback_ids, width):
+    """Byte tables that carry a clopen of a space of ``width`` points onto
+    the chain's points: row i holds each chain point k whose pullback is
+    point i (``pullback_ids[k] == i``), so one ``_gather`` of a clopen gives
+    the chain points that pull back into it, whether or not the pullback
+    is injective."""
+    rows = [0] * width
+    for k, i in enumerate(pullback_ids):
+        rows[i] |= 1 << k
+    return _byte_tables(rows)
+
+
 def suite_chain_lattice(config):
+    """The chain's lattice closure is its generators; and each corpus poset's
+    lattice maps onto its linear augmentation's, the chain lattice.
+
+    A clopen moves to the chain by the pullback of its points: one
+    ``_gather`` (``_pullback_tables``).  The image of L(P) is compared with
+    the chain's lattice as sets, so a sampled dual route checks elements one
+    by one: the definitional extension ``chain_epimorphism`` of the element
+    against its set-theoretic clopen (the OR of its terms' product clopens)
+    pulled back, a side that reads no algebra code.
+    """
     rec = _Recorder("chain-lattice")
     for n in range(1, 9):
         with rec.case(f"chain{n}") as case:
@@ -332,10 +394,10 @@ def suite_chain_lattice(config):
                     raise Witness({"reason": "pullback not a final segment",
                                    "pullback": poset.names_of(pb)})
                 pullback_ids.append(i)
+            pullback = _pullback_tables(pullback_ids, len(space.points))
 
             def transfer(elem):
-                den = stone.denote_elem(space, elem)
-                return sum((den >> i & 1) << k for k, i in enumerate(pullback_ids))
+                return _gather(pullback, stone.denote_elem(space, elem))
 
             gen_images = [transfer(algebra.gen(poset, p)) for p in range(poset.n)]
             surjective = stone.generates(space_c, gen_images)
@@ -343,7 +405,19 @@ def suite_chain_lattice(config):
             l_src = lattice.enumerate_l(poset, include_unit=include_unit)
             l_tgt = lattice.enumerate_l(c, include_unit=include_unit)
             case.params["lattice"] = len(l_src)
-            image = {transfer(e.to_elem()) for e in l_src}
+            # the dual route below checks a sample, kept as the image is built,
+            # so that each element is built once
+            rng = random.Random(config.seed)
+            picks = range(len(l_src))
+            if len(l_src) > 12:
+                picks = rng.sample(picks, 12)
+            sampled = dict.fromkeys(picks)
+            image = set()
+            for i, e in enumerate(l_src):
+                elem = e.to_elem()
+                image.add(transfer(elem))
+                if i in sampled:
+                    sampled[i] = elem
             target = {reduce(or_, [_product_denotation(space_c, s) for s in e.terms], 0)
                       for e in l_tgt}
             lattice_onto = image == target
@@ -354,14 +428,13 @@ def suite_chain_lattice(config):
                 expected.add(space_c.full)
             chain_form = target == expected if c.n else True
 
-            # dual-route honesty: the definitional extension agrees with the
-            # segment-pullback transfer on a sample
+            # dual-route honesty on a sample: the definitional extension
+            # against the element's own clopen, pulled back
             hom = morphisms.chain_epimorphism(poset, aug)
-            rng = random.Random(config.seed)
-            sample = l_src if len(l_src) <= 12 else rng.sample(l_src, 12)
             dual_ok = all(
-                stone.denote_elem(space_c, hom.apply(e.to_elem())) == transfer(e.to_elem())
-                for e in sample
+                stone.denote_elem(space_c, hom.apply(elem)) == _gather(
+                    pullback, reduce(or_, [_product_denotation(space, s) for s in l_src[i].terms], 0))
+                for i, elem in sampled.items()
             )
 
             if not (surjective and lattice_onto and chain_form and dual_ok):

@@ -656,3 +656,111 @@ def test_h_construction_directed_sample():
         for chain_ids in morphisms.maximal_chains_to_top(poset):
             res = morphisms.h_construction(poset, chain_ids)
             assert res.generates and res.layering
+
+
+def step_pair_layering(poset, chain_ids, blocks):
+    """The layering loop h_construction ran before it checked each
+    contribution once: step m's against x at m, and x at n - 1 against the
+    contributions of every later step n, once for each earlier m."""
+    x_chain = [algebra.gen(poset, c) for c in chain_ids]
+    layering = True
+    for m in range(len(chain_ids)):
+        for h_m in blocks[m]:
+            if not algebra.leq(h_m, x_chain[m]):
+                layering = False
+        for n in range(m + 1, len(chain_ids)):
+            if not poset.leq(chain_ids[m], chain_ids[n - 1]):
+                layering = False
+            for h_n in blocks[n]:
+                if not algebra.leq(x_chain[n - 1], h_n):
+                    layering = False
+    return layering
+
+
+def test_h_construction_layering_matches_the_step_pair_loop(monkeypatch):
+    runs = [(p, ids) for p in corpus.directed_corpus(6)
+            for ids in morphisms.maximal_chains_to_top(p)]
+    for poset, chain_ids in runs:
+        res = morphisms.h_construction(poset, chain_ids)
+        assert res.layering and step_pair_layering(poset, chain_ids, res.blocks)
+
+    # a leq that fails one pair of values: a contribution against the x at
+    # its step or at the step before, or a pair the layering never asks about
+    real = algebra.leq
+    key = algebra.canonical_key
+    rng = random.Random(2032)
+    checked = 0
+    for poset, chain_ids in rng.sample([r for r in runs if len(r[1]) > 1], 12):
+        blocks = morphisms.h_construction(poset, chain_ids).blocks
+        x_chain = [algebra.gen(poset, c) for c in chain_ids]
+        n = rng.randrange(1, len(chain_ids))
+        h = rng.choice(blocks[n])
+        for pair in ((h, x_chain[n]), (x_chain[n - 1], h), (x_chain[-1], x_chain[0])):
+            bad = (key(pair[0]), key(pair[1]))
+            monkeypatch.setattr(algebra, "leq", lambda a, b: (key(a), key(b)) != bad and real(a, b))
+            res = morphisms.h_construction(poset, chain_ids)
+            expected = step_pair_layering(poset, chain_ids, res.blocks)
+            monkeypatch.setattr(algebra, "leq", real)
+            assert res.layering == expected == (pair[0] is x_chain[-1])
+            checked += 1
+    assert checked == 36
+
+
+def every_pair_lex_layering(index, parts, built):
+    """The loop lex_layering_check ran before it built each element once,
+    appending each lattice element to ``built`` whenever it builds it."""
+    total = lex_sum(index, parts)
+    offsets = itertools.accumulate((part.n for part in parts), initial=0)
+    lattices = [
+        [lattice.LatticeElem(total, [sigma << off for sigma in le.terms])
+         for le in lattice.enumerate_l(part, include_unit=False)]
+        for part, off in zip(parts, offsets)
+    ]
+    for xi in range(index.n):
+        for zeta in _bits(index.up[xi] & ~(1 << xi)):
+            for g in lattices[xi]:
+                built.append(g)
+                ge = g.to_elem()
+                for h in lattices[zeta]:
+                    built.append(h)
+                    he = h.to_elem()
+                    if not algebra.leq(ge, he) or algebra.equals(ge, he):
+                        return {"lower_index": index.names[xi], "upper_index": index.names[zeta],
+                                "lower": str(g), "upper": str(h)}
+    return None
+
+
+@pytest.mark.parametrize("wide", [None, 2, 3])
+def test_lex_layering_builds_each_element_once(monkeypatch, wide):
+    """Same violation as the loop that built an element per pair, with leq
+    failing from ``wide`` support bits of its upper operand (or as it is),
+    and one build per element that loop reaches before it returns."""
+    if wide is not None:
+        real = algebra.leq
+        monkeypatch.setattr(algebra, "leq",
+                            lambda a, b: real(a, b) and b.support.bit_count() < wide)
+    built = []
+    to_elem = lattice.LatticeElem.to_elem
+
+    def recording(le):
+        built.append(le)
+        return to_elem(le)
+
+    rng = random.Random(2033)
+    sizes = [corpus.all_posets(n) for n in range(4)]
+    violations = 0
+    for _ in range(40):
+        index = rng.choice(sizes[rng.randrange(1, 4)])
+        parts = [rng.choice(sizes[rng.randrange(4)]) for _ in range(index.n)]
+        reached = []
+        expected = every_pair_lex_layering(index, parts, reached)
+        built.clear()
+        monkeypatch.setattr(lattice.LatticeElem, "to_elem", recording)
+        got = morphisms.lex_layering_check(index, parts)
+        monkeypatch.setattr(lattice.LatticeElem, "to_elem", to_elem)
+        assert got == expected
+        # each run builds its own sum poset, so its elements compare by terms
+        assert len(built) == len(set(built))
+        assert {le.terms for le in built} == {le.terms for le in reached}
+        violations += got is not None
+    assert (violations > 0) == (wide is not None)

@@ -1,14 +1,16 @@
 import copy
 import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from posetalg import algebra, corpus, lattice, morphisms, stone, suites
-from posetalg.poset import build_poset, linear_augmentation
+from posetalg.poset import _bits, _gather, build_poset, linear_augmentation, random_poset
 
 
 def strip_elapsed(report):
@@ -211,6 +213,113 @@ def test_l_leq_vs_oracle_reports_row_major_first_witness():
     assert found > 0
 
 
+def triple_loop_split(dens):
+    """The triple loop join-prime ran before its rows: (the triples checked,
+    the first (i, j, k) with dens[i] inside dens[j] | dens[k] but in neither)."""
+    count = 0
+    for i, j, k in itertools.product(range(len(dens)), repeat=3):
+        count += 1
+        if dens[i] & ~(dens[j] | dens[k]) == 0:
+            if dens[i] & ~dens[j] != 0 and dens[i] & ~dens[k] != 0:
+                return count, (i, j, k)
+    return count, None
+
+
+def test_join_split_rows_match_the_triple_loop():
+    """Seeded random families of clopens, sparse and dense, over up to 40
+    points and 20 members, so that masks and rows span several bytes; and
+    the corpus's product clopens, each alone and with the union of two of
+    them added, which breaks join-primeness when neither holds the other."""
+    rng = random.Random(2029)
+    families = []
+    for _ in range(150):
+        width = rng.randrange(41)
+        dens = [rng.getrandbits(width) for _ in range(rng.randrange(21))]
+        if rng.random() < 0.5:
+            dens = [d & rng.getrandbits(width) for d in dens]
+        families.append((dens, width))
+    for p in corpus.corpus_posets(4):
+        space = stone.StoneSpace(p)
+        dens = [suites._product_denotation(space, s) for s in lattice.enumerate_pi(p)]
+        width = len(space.points)
+        families.append((dens, width))
+        a, b = rng.choice(dens), rng.choice(dens)
+        families.append((dens + [a | b], width))
+    found = 0
+    for dens, width in families:
+        got = suites._first_join_split(dens, width)
+        assert got == triple_loop_split(dens), (dens, width)
+        found += got[1] is not None
+    assert 20 < found < len(families)
+
+
+def test_pullback_gather_matches_the_per_point_sum():
+    """chain-lattice's transfer: one gather against the sum over the chain's
+    points, on random pullback lists, many of them not injective."""
+    rng = random.Random(2030)
+    repeated = 0
+    for _ in range(300):
+        width = rng.randrange(1, 41)
+        ids = [rng.randrange(width) for _ in range(rng.randrange(21))]
+        repeated += len(set(ids)) < len(ids)
+        tables = suites._pullback_tables(ids, width)
+        for _ in range(8):
+            den = rng.getrandbits(width)
+            assert _gather(tables, den) == sum((den >> i & 1) << k for k, i in enumerate(ids))
+    assert repeated > 100
+
+
+def pair_loop_fact24(space, pairs):
+    """The loop fact24 ran before it kept each sigma's and tau's clopen: (the
+    pairs checked, the witness or None)."""
+    poset = space.poset
+    vsets = [stone.v_set(space, p) for p in range(poset.n)]
+    count = 0
+    for s, t in pairs:
+        count += 1
+        oracle = space.full
+        for p in _bits(s):
+            oracle &= vsets[p]
+        for q in _bits(t):
+            oracle &= space.full ^ vsets[q]
+        syn = algebra.is_zero_syntactic(poset, s, t)
+        if syn != (oracle == 0):
+            return count, {"sigma": poset.names_of(s), "tau": poset.names_of(t),
+                           "syntactic": syn, "oracle_empty": oracle == 0}
+    return count, None
+
+
+@pytest.mark.parametrize("wide", [None, 2, 3, 5])
+def test_fact24_check_matches_the_pair_loop(monkeypatch, wide):
+    """With the zero test negated on pairs of at least ``wide`` bits (or left
+    as it is), ``_fact24_check`` counts and reports as the old loop does, on
+    the corpus's small subsets and on random pairs at n = 8."""
+    if wide is not None:
+        real = algebra.is_zero_syntactic
+        monkeypatch.setattr(algebra, "is_zero_syntactic",
+                            lambda poset, s, t: real(poset, s, t) != ((s | t).bit_count() >= wide))
+    rng = random.Random(2031)
+    runs = []
+    for p in corpus.corpus_posets(4):
+        subsets = suites._small_subset_masks(p.n, 3)
+        runs.append((p, [(s, t) for s in subsets for t in subsets]))
+    for _ in range(6):
+        p = random_poset(8, rng.choice((0.2, 0.5)), rng.randrange(1 << 30))
+        runs.append((p, [(rng.randrange(256), rng.randrange(256)) for _ in range(60)]))
+    failed = 0
+    for p, pairs in runs:
+        space = stone.StoneSpace(p)
+        case = suites._Case({}, 0)
+        witness = None
+        try:
+            suites._fact24_check(space, iter(pairs), case)
+        except suites.Witness as exc:
+            witness = exc.args[0]
+        assert (case.cases, witness) == pair_loop_fact24(space, pairs)
+        failed += witness is not None
+    assert (failed > 0) == (wide is not None)
+
+
 def _fresh_interpreter(code):
     """Standard output of ``code`` run by a new interpreter that imports from src/."""
     src = os.path.dirname(os.path.dirname(suites.__file__))
@@ -234,6 +343,26 @@ CERTIFIED_FAULTS = {
         "real = Poset.upset\n"
         "Poset.upset = lambda self, mask: real(self, {1: 2, 2: 1}.get(mask, mask) if self.n > 1 else mask)\n",
         "is-pi-iso",
+    ),
+    # the image of L(P) is compared as a set, so only the dual route, which
+    # reads each sampled element's terms itself, sees a dropped term
+    "dropped-join-term": (
+        "from posetalg import algebra\n"
+        "real = algebra.join_products\n"
+        "algebra.join_products = lambda poset, sigmas: real(\n"
+        "    poset, list(sigmas)[:-1] if len(sigmas) >= 3 else sigmas)\n",
+        "chain-lattice",
+    ),
+    "negated-wide-is_zero_syntactic": (
+        "from posetalg import algebra\n"
+        "real = algebra.is_zero_syntactic\n"
+        "algebra.is_zero_syntactic = lambda poset, s, t: real(poset, s, t) != ((s | t).bit_count() >= 3)\n",
+        "fact24",
+    ),
+    "negated-wide-pi_leq_masks": (
+        "real = lattice.pi_leq_masks\n"
+        "lattice.pi_leq_masks = lambda poset, s, t: real(poset, s, t) != (s.bit_count() >= 2)\n",
+        "join-prime",
     ),
 }
 
