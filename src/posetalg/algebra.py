@@ -9,10 +9,11 @@ the truth at ``traces[k]`` (the sorted up-sets of S).
 
 An element on S keeps S's one cache entry as ``entry`` (laid out at
 ``Poset._entry``), shared by every element on S.  ``count`` is the number of
-traces, ``cols[p]`` the bitmask of the traces that hold p, and ``traces``
-the sorted list; a form not built yet is built into the entry on first
-read, under the cap.  The kernel ops read only count and columns; the list
-serves ``eval_trace``, ``support_reduce``, ``to_dnf`` and ``morphisms``.
+traces and ``cols[p]`` the bitmask of the traces that hold p: the one form
+that ``Poset._split`` builds.  The kernel ops read only count and columns;
+``traces``, the sorted list that ``Poset.upsets_of`` derives from the
+columns into the same entry, serves ``eval_trace``, ``support_reduce`` and
+``to_dnf``.
 
 Elements built from generators evaluate on columns.  The table of x_p is the
 column of p, and a Boolean term over generators is evaluated in one pass on
@@ -23,7 +24,7 @@ all-ones table.  ``elementary_product``, ``gen``, ``join_products`` and
 Binary operations lift both operands onto the union support U and then take
 ``&``/``|`` or compare the tables; an operand already on U is used as it is.
 The lift is a Shannon expansion on the columns of U.  The traces of S split
-on its top id h as ``Poset.upsets_of`` lists them: first those missing h,
+on its top id h as ``Poset._split`` orders them: first those missing h,
 then those holding h, a contiguous block whose size is read off the
 element's own column of h.  The lift of the table is then
 ``(ucols[h] & lift(hi)) | (~ucols[h] & lift(lo))``, memoised on (sub-support,
@@ -63,7 +64,8 @@ class AlgebraElem:
 
     The support's cache entry is read if the poset has one, else its columns
     are built under ``SUPPORT_CAP``: an element sits above the cap only on a
-    support already enumerated, as ``stone.StoneSpace`` enumerates the full one.
+    support already enumerated, as ``stone.elem_from_clopen`` enumerates the
+    full one.
     A truth table that is negative or has a bit at or past the support's
     trace count raises UnknownElement.
     """
@@ -74,7 +76,7 @@ class AlgebraElem:
         entry = poset._cache.get(support)
         if entry is None:
             _check_cap(support)
-            entry = poset._entry(support, False)
+            entry = poset._entry(support)
         # one shift: a negative table shifts to -1
         if truth >> entry[0]:
             raise UnknownElement(
@@ -91,11 +93,11 @@ class AlgebraElem:
 
     @property
     def traces(self):
-        return _form(self, 1)
+        return self.entry[1] or self.poset.upsets_of(self.support)
 
     def eval_trace(self, trace):
         """Truth at a trace (an up-closed subset of the support)."""
-        traces = self.entry[1] or _form(self, 1)
+        traces = self.traces
         k = bisect_left(traces, trace)
         if k == len(traces) or traces[k] != trace:
             raise UnknownElement(f"not a realizable trace: {trace:b}")
@@ -157,15 +159,6 @@ def _product_truth(cols, full, pos, neg=0):
     return truth
 
 
-def _form(e, form):
-    """Form 1 (traces) or 2 (cols) of e's entry, filled in under the cap if missing."""
-    got = e.entry[form]
-    if got is None:
-        _check_cap(e.support)
-        got = e.poset.upsets_of(e.support) if form == 1 else e.poset.columns(e.support)[1]
-    return got
-
-
 def _union(e1, e2):
     """(support, count, cols) of the union support of e1 and e2.
 
@@ -179,9 +172,7 @@ def _union(e1, e2):
         count, cols = e1.poset.columns(support)
         return support, count, cols
     entry = on_union.entry
-    # with both on the union nothing is lifted, so the columns may stay unread
-    cols = entry[2] if e1.support == e2.support else _form(on_union, 2)
-    return support, entry[0], cols
+    return support, entry[0], entry[2]
 
 
 def _lift(e, support, ucols, full):
@@ -190,7 +181,7 @@ def _lift(e, support, ucols, full):
     if e.support == support:
         return e.truth
     limit = _LIFT_MEMO_BITS // full.bit_length()
-    ctx = (_form(e, 2), ucols, e.poset.up, e.poset.down, full, {}, limit)
+    ctx = (e.entry[2], ucols, e.poset.up, e.poset.down, full, {}, limit)
     return _shannon(e.support, e.truth, e.entry[0], 0, ctx)
 
 
@@ -345,9 +336,8 @@ def support_reduce(e):
         support ^= bit
     if support == e.support:
         return AlgebraElem(e.poset, support, e.truth)
-    _check_cap(support)
-    traces = e.poset.upsets_of(support)
-    truth = int("".join([bit_at[t] for t in reversed(traces)]), 2)
+    # the keys left are the up-sets of the smaller support
+    truth = int("".join([bit_at[t] for t in sorted(bit_at, reverse=True)]), 2)
     return AlgebraElem(e.poset, support, truth)
 
 

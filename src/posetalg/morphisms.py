@@ -39,17 +39,17 @@ from .errors import (
 from .poset import _bits, _byte_tables, _gather, chain, lex_sum, product
 
 
-def _image_table(unit, images, support, traces):
-    """Image of x_t * -x_{S-t} for each trace t of ``support`` S, in the order
-    of ``traces`` (the sorted up-sets of S): the int ``unit`` ANDed with the
-    int image of each element of t and the complement of each other one."""
-    members = _bits(support)
-    table = []
-    for t in traces:
-        term = unit
-        for p in members:
-            term &= images[p] if t >> p & 1 else ~images[p]
-        table.append(term)
+def _image_table(unit, images, count, cols):
+    """Image of x_t * -x_{S-t} for each of the ``count`` traces t of a support
+    S, in order, from S's columns ``cols``: the int ``unit`` ANDed with the
+    int image of each element of t and the complement of each other one.
+    Each column is read once, as a string of its bits from trace 0 up."""
+    table = [unit] * count
+    for p, col in cols.items():
+        img = images[p]
+        pair = (~img, img)
+        bits = format(col, f"0{count}b")[::-1]
+        table = [term & pair[bit == "1"] for term, bit in zip(table, bits)]
     return table
 
 
@@ -108,7 +108,7 @@ class Hom:
         if got is None:
             union, unit, images = self._ints(e.support)
             got = self._tables[e.support] = (
-                union, _byte_tables(_image_table(unit, images, e.support, e.traces)))
+                union, _byte_tables(_image_table(unit, images, e.entry[0], e.entry[2])))
         union, tables = got
         if e.truth < 256 and tables.__class__ is list:
             return self._wrap(union, tables[0][e.truth])
@@ -377,12 +377,12 @@ def h_construction(poset, chain_elems):
 
     Step n restricts to the elements not above chain point n, takes all
     product terms there, and contributes x_{chain[n-1]} + y * x_{chain[n]}
-    for each such y (with x_{chain[-1]} taken as zero).  Returns the family,
-    whether it generates the whole algebra, and whether the step layering
-    holds: each contribution of step n lies below x_{chain[n]} and above
-    x_{chain[n-1]}, one ``leq`` each.  As the chain increases, x_{chain[m]}
-    lies below x_{chain[n-1]} for every m < n, so that puts every earlier
-    contribution below every later one.
+    for each such y (with x_{chain[-1]} taken as zero), one ``join_products``
+    of those two terms.  Returns the family, whether it generates the whole
+    algebra, and whether the step layering holds: each contribution of step
+    n lies below x_{chain[n]} and above x_{chain[n-1]}, one ``leq`` each.  As
+    the chain increases, x_{chain[m]} lies below x_{chain[n-1]} for every
+    m < n, so that puts every earlier contribution below every later one.
     """
     if not is_directed(poset):
         raise NotDirected("h_construction needs a directed poset")
@@ -399,18 +399,17 @@ def h_construction(poset, chain_elems):
     blocks = []
     elems = [algebra.zero(poset)]
     x_chain = [algebra.gen(poset, c) for c in chain_ids]
-    prev_gen = algebra.zero(poset)
     for n, c in enumerate(chain_ids):
         keep = poset.full & ~poset.upset(1 << c)
         sub, ids = poset.induced(keep)
+        # x_{chain[n-1]} as a one-term join; none at step 0
+        prev = [1 << chain_ids[n - 1]] if n else []
         block = []
         for sigma in lattice.enumerate_pi(sub, include_unit=True):
             ambient_sigma = sum(1 << ids[i] for i in _bits(sigma))
-            y = algebra.product_elem(poset, ambient_sigma)
-            block.append(algebra.join(prev_gen, algebra.meet(y, x_chain[n])))
+            block.append(algebra.join_products(poset, prev + [ambient_sigma | 1 << c]))
         blocks.append(block)
         elems.extend(block)
-        prev_gen = x_chain[n]
 
     # layering: each step's contributions lie below x at that step and above
     # x at the step before, so above the x of every earlier step, as the

@@ -137,37 +137,34 @@ def transpose(rows, width):
     return out
 
 
-def _split(poset, support, listing):
-    """(count, traces, cols) of the up-sets of ``support``: ``traces`` when
-    ``listing``, else ``cols``; the other form is None.
+def _split(poset, support):
+    """(count, cols): the up-sets of ``support`` as bit columns, where bit k
+    of ``cols[p]`` is set iff p is in the k-th of the ``count`` up-sets.
 
     With h the top id of U, an up-set of U either misses h, and then all of
     down(h), or holds h, and then all of U & up(h).  So the up-sets of U are
     those of U - down(h), then those of U - up(h) each joined with U & up(h):
-    ascending with no sort, as h is the top bit of U.  ``traces`` is that
-    list; ``cols[p]`` has bit k set iff p is in the k-th of the ``count``
-    up-sets.  A split builds one form only, so a caller of the columns never
-    pays for a list and a caller of the list never pays for the columns.
+    ascending with no sort, as h is the top bit of U.  The columns follow
+    that order, so the k-th up-set is the k-th in ascending order.
 
     Two loops, not recursion, so a tall poset does not exhaust the stack:
     the first finds the sub-supports the split reaches and counts the splits
     that read each; the second solves them in ascending order (a sub-support
     is a proper subset, so a smaller int) and drops each once its last
     reader is done.  More than ``MAX_SEGMENTS`` up-sets on any sub-support,
-    and so on ``support``, raise EnumerationOverflow before that list is
+    and so on ``support``, raise EnumerationOverflow before its columns are
     built.
 
-    The column form shares its sub-supports across splits: the first loop
-    stops at a sub-support whose columns are cached, and the second keeps
-    the columns it solves in the cache while the kept entries' bits (up-sets
-    plus a 64-bit word, times elements) fit in the poset's ``_MEMO_BITS``;
-    past that budget a solved sub-support is dropped, as the list form drops
-    all of its own.  ``support`` itself is cached by ``Poset._entry``,
-    outside the budget.
+    Splits share their sub-supports: the first loop stops at a sub-support
+    whose entry is cached, and the second keeps the columns it solves in
+    the cache while the kept entries' bits (up-sets plus a 64-bit word,
+    times elements) fit in the poset's ``_MEMO_BITS``; past that budget a
+    solved sub-support is dropped.  ``support`` itself is cached by
+    ``Poset._entry``, outside the budget.
     """
     up, down, cache = poset.up, poset.down, poset._cache
     # the empty support has the empty up-set; {p} has that and {p}
-    memo = {0: (1, (0,), None) if listing else (1, None, {})}
+    memo = {0: (1, {})}
     users = {}
     splits = []
     stack = [support] if support else []
@@ -180,39 +177,34 @@ def _split(poset, support, listing):
         for sub in (lo_sub, hi_sub):
             if sub not in users:
                 if sub & (sub - 1):
-                    entry = None if listing else cache.get(sub)
-                    if entry is None or entry[2] is None:
+                    entry = cache.get(sub)
+                    if entry is None:
                         stack.append(sub)
                     else:
-                        memo[sub] = (entry[0], None, entry[2])
+                        memo[sub] = (entry[0], entry[2])
                 elif sub:
-                    memo[sub] = (
-                        (2, (0, sub), None) if listing else (2, None, {sub.bit_length() - 1: 2})
-                    )
+                    memo[sub] = (2, {sub.bit_length() - 1: 2})
             users[sub] = users.get(sub, 0) + 1
     splits.sort()
     for s, h, lo_sub, hi_sub in splits:
         left = users[lo_sub] = users[lo_sub] - 1
-        lo_count, lo, lo_cols = memo[lo_sub] if left else memo.pop(lo_sub)
+        lo_count, lo_cols = memo[lo_sub] if left else memo.pop(lo_sub)
         left = users[hi_sub] = users[hi_sub] - 1
-        hi_count, hi, hi_cols = memo[hi_sub] if left else memo.pop(hi_sub)
+        hi_count, hi_cols = memo[hi_sub] if left else memo.pop(hi_sub)
         count = lo_count + hi_count
         if count > MAX_SEGMENTS:
             raise EnumerationOverflow(
                 f"more than {MAX_SEGMENTS} up-sets on {popcount(support)} elements"
             )
-        top = s & up[h]
-        if listing:
-            memo[s] = (count, lo + tuple([u | top for u in hi]), None)
-            continue
         # below or beside h: the column of U - up(h) above that of U - down(h)
         cols = {p: lo_cols.get(p, 0) | col << lo_count for p, col in hi_cols.items()}
         # h and above: in every up-set of the second block
         ones = ((1 << hi_count) - 1) << lo_count
         cols[h] = ones
+        top = s & up[h]
         for p in _bits(top ^ 1 << h):
             cols[p] = lo_cols[p] | ones
-        memo[s] = (count, None, cols)
+        memo[s] = (count, cols)
         if s != support:
             bits = (count + 64) * len(cols)
             if poset._memo_bits + bits > _MEMO_BITS:
@@ -220,7 +212,7 @@ def _split(poset, support, listing):
             else:
                 poset._memo_bits += bits
                 poset._memo_entries += 1
-                cache.setdefault(s, [count, None, None])[2] = cols
+                cache[s] = [count, None, cols]
     return memo[support]
 
 
@@ -353,25 +345,21 @@ class Poset:
 
     # -- segment enumeration -------------------------------------------------
 
-    def _entry(self, support, listing):
-        """The cache entry [count, traces, cols] of ``support``, with the list
-        (``listing``) or the columns filled in by ``_split`` if missing.
+    def _entry(self, support):
+        """The cache entry [count, traces, cols] of ``support``, built by
+        ``_split`` if missing: ``traces`` stays None until ``upsets_of``
+        derives it from the columns.
 
-        An entry holds what its callers have asked for, plus the columns of
-        sub-supports that column splits kept under ``_MEMO_BITS``: a support
-        read only as columns is never listed, and one read only as a list
-        never gets columns from ``_entry``.  An overflow never caches the
-        support that overflowed, so every entry was built under the one cap
-        ``MAX_SEGMENTS``.  A support with a bit outside the poset, negative
-        ones included, raises UnknownElement.
+        An entry holds the supports that callers asked for, plus the
+        sub-supports that splits kept under ``_MEMO_BITS``.  An overflow
+        never caches the support that overflowed, so every entry was built
+        under the one cap ``MAX_SEGMENTS``.  A support with a bit outside the
+        poset, negative ones included, raises UnknownElement.
         """
-        self._check_support(support)
-        entry = self._cache.get(support) or [0, None, None]
-        form = 1 if listing else 2
-        if entry[form] is None:
-            got = _split(self, support, listing)
-            entry[0], entry[form] = got[0], got[form]
-            self._cache[support] = entry
+        entry = self._cache.get(support)
+        if entry is None:
+            count, cols = _split(self, self._check_support(support))
+            entry = self._cache[support] = [count, None, cols]
         return entry
 
     def _check_support(self, support):
@@ -383,31 +371,31 @@ class Poset:
     def upsets_of(self, support):
         """All up-closed subsets of the subposet induced on ``support``.
 
-        A tuple of bitmasks over P, sorted ascending, from the one split
-        enumerator ``_split``; cached in the entry of the support, beside its
-        columns once someone asks for those.  More than ``MAX_SEGMENTS``
-        up-sets raise EnumerationOverflow before a list over the cap is built,
-        and leave nothing in the cache.
+        A tuple of bitmasks over P, sorted ascending: the support's columns,
+        transposed once and kept in its cache entry beside them.  More than
+        ``MAX_SEGMENTS`` up-sets raise EnumerationOverflow before any column
+        or list over the cap is built, and leave nothing in the cache.
         """
-        return self._entry(support, True)[1]
+        entry = self._entry(support)
+        if entry[1] is None:
+            cols = entry[2]
+            entry[1] = tuple(transpose([cols.get(p, 0) for p in range(self.n)], entry[0]))
+        return entry[1]
 
     def columns(self, support):
         """(count, cols): the up-sets of ``support`` as bit columns.
 
         ``count`` is ``len(upsets_of(support))`` and, for each element p of
         the support, bit k of ``cols[p]`` is set iff p is in the k-th up-set
-        of ``upsets_of(support)``.  Both come from ``_split`` and sit in the
-        same cache entry, but the columns are built without listing the
-        up-sets.  The cap ``MAX_SEGMENTS`` applies; callers with a support
-        cap of their own check it first.  Sub-supports that the build solves
-        stay cached for later builds while they fit in the poset's budget
-        ``_MEMO_BITS``; the entry of ``support`` is cached whatever its size.
+        of ``upsets_of(support)``, which is derived from them.  Both come
+        from ``_split`` and sit in the support's cache entry.  The cap
+        ``MAX_SEGMENTS`` applies; callers with a support cap of their own
+        check it first.  Sub-supports that the build solves stay cached for
+        later builds while they fit in the poset's budget ``_MEMO_BITS``; the
+        entry of ``support`` is cached whatever its size.
         """
-        entry = self._entry(support, False)
+        entry = self._entry(support)
         return entry[0], entry[2]
-
-    def final_segment_masks(self):
-        return self.upsets_of(self.full)
 
     def initial_segments(self):
         """All down-closed subsets, sorted by (size, mask)."""

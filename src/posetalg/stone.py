@@ -3,10 +3,11 @@
 The space of all final segments (up-closed subsets) of a finite poset is the
 Stone space of its algebra; a generator denotes the clopen set of segments
 containing its element.  Clopens are bitmasks over the point list, so every
-symbolic decision can be cross-checked set-theoretically.  The generator
-clopens are one ``transpose`` of the point list, kept on the space and never
-read from ``Poset.columns``, so a fault in the algebra's column build cannot
-reach the oracle.
+symbolic decision can be cross-checked set-theoretically.  The points are
+listed by the space's own walk over ``poset.up`` (``_final_segments``), and
+the generator clopens are one ``transpose`` of them; neither reads
+``Poset._split``, ``upsets_of`` or ``columns``, so a fault in the algebra's
+up-set build cannot reach the oracle.
 
 An element on support S is denoted through the space's own points too: they
 fall into one block per distinct restriction ``point & S``, and those
@@ -14,14 +15,23 @@ restrictions, ascending, are the traces of S in the algebra's order, so the
 clopen is the union of the blocks at the true bits of the truth table.  The
 blocks are kept on the space per support, and their number is checked
 against the element's trace count, so the oracle never reads the algebra's
-trace list and a wrong count raises ``CountMismatch``.
+trace list and a wrong count raises ``CountMismatch``.  ``elem_from_clopen``
+is the one bridge back into the algebra, and it makes the same check on the
+full support.
 """
 
 from __future__ import annotations
 
 from . import algebra
-from .errors import CountMismatch, ParseError, PosetMismatch, SizeLimit, UnknownElement
-from .poset import _bits, transpose
+from .errors import (
+    CountMismatch,
+    EnumerationOverflow,
+    ParseError,
+    PosetMismatch,
+    SizeLimit,
+    UnknownElement,
+)
+from .poset import MAX_SEGMENTS, _bits, transpose
 
 # check_binary_subbase decides all 4**n subfamilies of a poset of n elements
 # from one table; past this many elements it raises SizeLimit
@@ -38,10 +48,36 @@ class StoneSpace:
 
     def __init__(self, poset):
         self.poset = poset
-        self.points = poset.final_segment_masks()
+        self.points = _final_segments(poset)
         self.full = (1 << len(self.points)) - 1
         self.v_sets = None
         self.blocks = {}
+
+
+def _final_segments(poset):
+    """The final segments of ``poset`` as a sorted tuple of bitmasks, from
+    ``poset.up`` alone.
+
+    Elements join in ascending order of the size of their up-sets, so each
+    joins after every element strictly above it, and the segments so far are
+    those of the elements joined.  A joining element extends every segment
+    so far that holds all the elements strictly above it; one with nothing
+    above it extends every segment, unfiltered.  More than ``MAX_SEGMENTS``
+    segments raise EnumerationOverflow before the list past the cap is built.
+    """
+    up = poset.up
+    points = [0]
+    for i in sorted(range(poset.n), key=lambda i: up[i].bit_count()):
+        bit = 1 << i
+        above = up[i] ^ bit
+        grown = [s for s in points if s & above == above] if above else points
+        if len(points) + len(grown) > MAX_SEGMENTS:
+            raise EnumerationOverflow(
+                f"more than {MAX_SEGMENTS} final segments on {poset.n} elements"
+            )
+        points += [s | bit for s in grown]
+    points.sort()
+    return tuple(points)
 
 
 def v_set(space, p):
@@ -113,8 +149,21 @@ def _denote(space, node):
 
 
 def elem_from_clopen(space, mask):
-    """Algebra element (full support) whose denotation is the given clopen."""
-    return algebra.AlgebraElem(space.poset, space.poset.full, mask)
+    """Algebra element (full support) whose denotation is the given clopen.
+
+    The algebra's entry of the full support is read from the poset's cache,
+    or built there once, past ``algebra.SUPPORT_CAP`` if need be, as the
+    space already lists every point.  Raises CountMismatch when its trace
+    count is not the number of points."""
+    poset = space.poset
+    entry = poset._cache.get(poset.full) or poset._entry(poset.full)
+    if entry[0] != len(space.points):
+        raise CountMismatch({
+            "support": poset.names_of(poset.full),
+            "count": entry[0],
+            "blocks": len(space.points),
+        })
+    return algebra.AlgebraElem(poset, poset.full, mask)
 
 
 # -- subalgebra generation ----------------------------------------------------

@@ -495,7 +495,7 @@ def _oracle_reductions(p, points, clopen):
 def test_support_reduce_does_not_depend_on_removal_order():
     rng = random.Random(2007)
     for p in corpus.corpus_posets(4):
-        points = p.final_segment_masks()
+        points = p.upsets_of(p.full)
         for _ in range(12):
             # a random table that depends on R only through R & dep
             dep = rng.getrandbits(p.n) if rng.random() < 0.7 else p.full

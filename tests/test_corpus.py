@@ -119,7 +119,6 @@ def test_segment_cap_holds_cold_and_warm():
         lambda: p.upsets_of(p.full),
         lambda: p.columns(p.full),
         p.initial_segments,
-        p.final_segment_masks,
     ]
     for warm in (False, True):
         if warm:

@@ -240,9 +240,10 @@ def test_corrupt_image_table_fails_suite_records(monkeypatch, suite, failures, f
     where each case ends early."""
     build = morphisms._image_table
 
-    def corrupt(unit, images, support, traces):
+    def corrupt(unit, images, count, cols):
         # each term meets only the images at its trace, never a complement
-        return [build(unit, images, t, [t])[0] for t in traces]
+        return [build(unit, images, 1, {p: 1 for p, col in cols.items() if col >> k & 1})[0]
+                for k in range(count)]
 
     monkeypatch.setattr(morphisms, "_image_table", corrupt)
     report = suites.run_suite(suite, suites.SuiteConfig())
@@ -704,6 +705,36 @@ def test_h_construction_layering_matches_the_step_pair_loop(monkeypatch):
             assert res.layering == expected == (pair[0] is x_chain[-1])
             checked += 1
     assert checked == 36
+
+
+def meet_join_blocks(poset, chain_ids):
+    """The blocks h_construction built before it took one pass per
+    contribution: y * x at step n by ``meet``, then joined with the x of the
+    step before (zero at step 0) by ``join``."""
+    x_chain = [algebra.gen(poset, c) for c in chain_ids]
+    prev_gen = algebra.zero(poset)
+    blocks = []
+    for n, c in enumerate(chain_ids):
+        sub, ids = poset.induced(poset.full & ~poset.upset(1 << c))
+        block = []
+        for sigma in lattice.enumerate_pi(sub, include_unit=True):
+            y = algebra.product_elem(poset, sum(1 << ids[i] for i in _bits(sigma)))
+            block.append(algebra.join(prev_gen, algebra.meet(y, x_chain[n])))
+        blocks.append(block)
+        prev_gen = x_chain[n]
+    return blocks
+
+
+def test_h_construction_blocks_match_the_meet_join_fold():
+    checked = 0
+    for poset in corpus.directed_corpus(6):
+        for chain_ids in morphisms.maximal_chains_to_top(poset):
+            got = morphisms.h_construction(poset, chain_ids).blocks
+            want = meet_join_blocks(poset, chain_ids)
+            assert [[(e.support, e.truth) for e in block] for block in got] == [
+                [(e.support, e.truth) for e in block] for block in want]
+            checked += 1
+    assert checked == 262
 
 
 def every_pair_lex_layering(index, parts, built):

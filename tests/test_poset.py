@@ -148,7 +148,7 @@ def test_dual_involution():
 def test_dual_swaps_segments():
     for p in corpus.corpus_posets(4):
         dual = Poset(p.names, p.down)
-        assert len(p.initial_segments()) == len(dual.final_segment_masks())
+        assert len(p.initial_segments()) == len(dual.upsets_of(dual.full))
 
 
 def test_upset_matches_minimals():
@@ -161,7 +161,7 @@ def test_upset_matches_minimals():
 
 def test_segment_enumeration_against_brute_force():
     for p in corpus.corpus_posets(4):
-        assert sorted(p.final_segment_masks()) == sorted(brute_final_segments(p))
+        assert sorted(p.upsets_of(p.full)) == sorted(brute_final_segments(p))
         assert sorted(p.initial_segments()) == sorted(brute_initial_segments(p))
 
 
@@ -468,11 +468,11 @@ def test_upsets_of_chain_taller_than_recursion_limit():
     full = (1 << n) - 1
     names = [str(i) for i in range(n)]
     rising = Poset(names, [full & ~((1 << i) - 1) for i in range(n)])
-    assert rising.final_segment_masks() == tuple(
+    assert rising.upsets_of(rising.full) == tuple(
         sorted(full & ~((1 << k) - 1) for k in range(n + 1))
     )
     falling = Poset(names, [(1 << (i + 1)) - 1 for i in range(n)])
-    assert falling.final_segment_masks() == tuple((1 << k) - 1 for k in range(n + 1))
+    assert falling.upsets_of(falling.full) == tuple((1 << k) - 1 for k in range(n + 1))
     count, cols = falling.columns(falling.full)
     assert count == n + 1
     assert all(cols[p] == ((1 << (n + 1)) - 1) & ~((1 << (p + 1)) - 1) for p in range(n))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import brute_denote, brute_final_segments, every_element, subalgebra_closure
-from posetalg import algebra, corpus, exprs, morphisms, stone, suites
-from posetalg.errors import CountMismatch, SizeLimit, UnknownElement
+from posetalg import algebra, corpus, exprs, morphisms, poset, stone, suites
+from posetalg.errors import CountMismatch, EnumerationOverflow, SizeLimit, UnknownElement
 from posetalg.poset import (
     Poset,
     _bits,
@@ -31,6 +31,56 @@ def test_space_counts(v3):
 def test_space_matches_brute_force():
     for p in corpus.corpus_posets(4):
         assert sorted(stone.StoneSpace(p).points) == sorted(brute_final_segments(p))
+
+
+def test_space_lists_its_points_without_the_algebra(monkeypatch):
+    """The oracle's points come from its own walk: with the algebra's split,
+    up-set lists and columns all refused, a space lists what the power-set
+    scan finds, and what the algebra lists on wider posets."""
+    wide = [chain(200), rado_prefix(6), random_poset(20, 0.2, 3), antichain(15)]
+    want = [p.upsets_of(p.full) for p in wide]
+    wide = [Poset(p.names, p.up) for p in wide]
+
+    def refuse(*args):
+        raise AssertionError("a StoneSpace read the algebra's up-set build")
+
+    monkeypatch.setattr(poset, "_split", refuse)
+    monkeypatch.setattr(Poset, "upsets_of", refuse)
+    monkeypatch.setattr(Poset, "columns", refuse)
+    for p in corpus.corpus_posets(5):
+        assert list(stone.StoneSpace(p).points) == brute_final_segments(p)
+    for p, points in zip(wide, want):
+        assert stone.StoneSpace(p).points == points
+    with pytest.raises(EnumerationOverflow):
+        stone.StoneSpace(antichain(21))
+
+
+def drop_last_up_set(real):
+    """``poset._split`` that drops the last up-set of a support of 3 or
+    more elements."""
+    def split(p, support):
+        count, cols = real(p, support)
+        if support.bit_count() < 3:
+            return count, cols
+        keep = (1 << count - 1) - 1
+        return count - 1, {q: col & keep for q, col in cols.items()}
+    return split
+
+
+def test_a_split_that_drops_an_up_set_is_a_count_mismatch(monkeypatch):
+    """The oracle's points and the algebra's columns are two enumerations,
+    so a split that loses an up-set shows as a count mismatch, both where
+    the oracle denotes an element and where it builds one."""
+    monkeypatch.setattr(poset, "_split", drop_last_up_set(poset._split))
+    for p in (corpus.v3(), antichain(3), chain(3)):
+        space = stone.StoneSpace(p)
+        assert len(space.points) == len(brute_final_segments(p))
+        e = algebra.join_products(p, [1 << i for i in range(p.n)])
+        assert e.support == p.full and e.count == len(space.points) - 1
+        with pytest.raises(CountMismatch):
+            stone.denote_elem(space, e)
+        with pytest.raises(CountMismatch):
+            stone.elem_from_clopen(space, 0)
 
 
 def test_v_set_frozen(v3):
