@@ -313,15 +313,14 @@ def join_products(poset, sigmas):
     return AlgebraElem(poset, support, truth)
 
 
-def support_reduce(e):
-    """Drop support elements the truth table does not depend on.
+def _reduced(e):
+    """(support, truth) of e on its minimal support, with no element built.
 
     Element s can go iff every trace t containing s whose t - s is also a
     trace has the bit of t - s; each remaining up-set u then takes the bit
     at u, or at u | s when u alone is not a trace.  Removal is tried in
     ascending element-id order.  An element that cannot go stays needed on
-    every smaller support, so this one pass is already the fixpoint: the
-    canonical minimal-support form of e.
+    every smaller support, so this one pass is already the fixpoint.
     """
     support = e.support
     # each trace to its truth as '0' or '1'; a sentinel bit above the table
@@ -335,17 +334,21 @@ def support_reduce(e):
         bit_at = {t & ~bit: b for t, b in bit_at.items()}
         support ^= bit
     if support == e.support:
-        return AlgebraElem(e.poset, support, e.truth)
+        return support, e.truth
     # the keys left are the up-sets of the smaller support
-    truth = int("".join([bit_at[t] for t in sorted(bit_at, reverse=True)]), 2)
-    return AlgebraElem(e.poset, support, truth)
+    return support, int("".join([bit_at[t] for t in sorted(bit_at, reverse=True)]), 2)
+
+
+def support_reduce(e):
+    """The canonical minimal-support form of e: ``_reduced(e)`` as an element."""
+    return AlgebraElem(e.poset, *_reduced(e))
 
 
 def canonical_key(e):
-    """Hashable key identifying e up to equality (minimal support + table)."""
+    """Hashable key identifying e up to equality: ``_reduced(e)``.  It builds
+    no entry for the minimal support, so that support's size is not capped."""
     if e._ckey is None:
-        r = support_reduce(e)
-        e._ckey = (r.support, r.truth)
+        e._ckey = _reduced(e)
     return e._ckey
 
 

@@ -2,7 +2,10 @@
 
 Atoms are ``x(name)``, constants ``0`` and ``1``; operators ``!`` (complement),
 ``&`` (meet), ``|`` (join) with precedence ! > & > |, plus parentheses.
-Names may themselves contain balanced parentheses (e.g. ``x((0,1))``).
+Names may themselves contain balanced parentheses (e.g. ``x((0,1))``).  The
+parser loops over each run of ``|`` or ``&`` operands and recurses only on
+``(`` and ``!``; ``to_elem`` recurses on every node.  Nesting past the
+recursion limit raises ParseError in either.
 
 Parsed expressions are plain tuples:
     ("var", name) | ("const", bool) | ("not", e) | ("and", a, b) | ("or", a, b)
@@ -44,26 +47,37 @@ def tokenize(text):
     return tokens
 
 
-# binary operators by level, loosest first; past them, a negation or an atom
-_BINARY = (("|", "or"), ("&", "and"))
-
-
-def _parse(tokens, i, level=0):
+def _parse(tokens, i):
     """(tree, index of the next token) of the expression at ``tokens[i]``.
 
-    ``tokens`` ends in None.  Each binary level folds its operands in a loop,
-    so a left-deep chain of one operator parses without recursion.
+    ``tokens`` ends in None.  The outer loop folds the ``|`` operands and the
+    inner one the ``&`` operands of each, left-deep; an operand that is no
+    name goes to ``_unary``, the one place that recurses.
     """
-    if level < len(_BINARY):
-        op, kind = _BINARY[level]
-        node, i = _parse(tokens, i, level + 1)
-        while tokens[i] == op:
-            right, i = _parse(tokens, i + 1, level + 1)
-            node = (kind, node, right)
-        return node, i
+    node = None
+    while True:
+        term = None
+        while True:
+            operand = tokens[i]
+            if operand.__class__ is tuple:  # ("var", name)
+                i += 1
+            else:
+                operand, i = _unary(tokens, i)
+            term = operand if term is None else ("and", term, operand)
+            if tokens[i] != "&":
+                break
+            i += 1
+        node = term if node is None else ("or", node, term)
+        if tokens[i] != "|":
+            return node, i
+        i += 1
+
+
+def _unary(tokens, i):
+    """(tree, next index) of the negation, parenthesis or atom at ``tokens[i]``."""
     tok = tokens[i]
     if tok == "!":
-        node, i = _parse(tokens, i + 1, level)
+        node, i = _unary(tokens, i + 1)
         return ("not", node), i
     if tok == "(":
         node, i = _parse(tokens, i + 1)
@@ -120,7 +134,9 @@ def _support(poset, node):
     elif size == 2:
         kind, a = node
         if kind == "var":
-            return 1 << poset.id(a)
+            # one dict lookup for a str name; Poset.id for the rest and misses
+            i = poset._ids.get(a) if a.__class__ is str else None
+            return 1 << (poset.id(a) if i is None else i)
         if kind == "not":
             return _support(poset, a)
         if kind == "const":
@@ -129,10 +145,10 @@ def _support(poset, node):
 
 
 def _eval(poset, cols, full, node):
-    # _support has already rejected any other node shape
+    # _support has already rejected any other node shape and unknown name
     kind = node[0]
     if kind == "var":
-        return cols[poset.id(node[1])]
+        return cols[poset._ids[node[1]] if node[1].__class__ is str else poset.id(node[1])]
     if kind == "const":
         return full if node[1] else 0
     if kind == "not":

@@ -159,8 +159,9 @@ def _split(poset, support):
     whose entry is cached, and the second keeps the columns it solves in
     the cache while the kept entries' bits (up-sets plus a 64-bit word,
     times elements) fit in the poset's ``_MEMO_BITS``; past that budget a
-    solved sub-support is dropped.  ``support`` itself is cached by
-    ``Poset._entry``, outside the budget.
+    solved sub-support is dropped.  The poset's kept-entry, bit and refusal
+    counters are written back once per call, on an overflow too.
+    ``support`` itself is cached by ``Poset._entry``, outside the budget.
     """
     up, down, cache = poset.up, poset.down, poset._cache
     # the empty support has the empty up-set; {p} has that and {p}
@@ -186,33 +187,37 @@ def _split(poset, support):
                     memo[sub] = (2, {sub.bit_length() - 1: 2})
             users[sub] = users.get(sub, 0) + 1
     splits.sort()
-    for s, h, lo_sub, hi_sub in splits:
-        left = users[lo_sub] = users[lo_sub] - 1
-        lo_count, lo_cols = memo[lo_sub] if left else memo.pop(lo_sub)
-        left = users[hi_sub] = users[hi_sub] - 1
-        hi_count, hi_cols = memo[hi_sub] if left else memo.pop(hi_sub)
-        count = lo_count + hi_count
-        if count > MAX_SEGMENTS:
-            raise EnumerationOverflow(
-                f"more than {MAX_SEGMENTS} up-sets on {popcount(support)} elements"
-            )
-        # below or beside h: the column of U - up(h) above that of U - down(h)
-        cols = {p: lo_cols.get(p, 0) | col << lo_count for p, col in hi_cols.items()}
-        # h and above: in every up-set of the second block
-        ones = ((1 << hi_count) - 1) << lo_count
-        cols[h] = ones
-        top = s & up[h]
-        for p in _bits(top ^ 1 << h):
-            cols[p] = lo_cols[p] | ones
-        memo[s] = (count, cols)
-        if s != support:
-            bits = (count + 64) * len(cols)
-            if poset._memo_bits + bits > _MEMO_BITS:
-                poset._memo_refused += 1
-            else:
-                poset._memo_bits += bits
-                poset._memo_entries += 1
-                cache[s] = [count, None, cols]
+    kept, entries, refused = poset._memo_bits, poset._memo_entries, poset._memo_refused
+    try:
+        for s, h, lo_sub, hi_sub in splits:
+            left = users[lo_sub] = users[lo_sub] - 1
+            lo_count, lo_cols = memo[lo_sub] if left else memo.pop(lo_sub)
+            left = users[hi_sub] = users[hi_sub] - 1
+            hi_count, hi_cols = memo[hi_sub] if left else memo.pop(hi_sub)
+            count = lo_count + hi_count
+            if count > MAX_SEGMENTS:
+                raise EnumerationOverflow(
+                    f"more than {MAX_SEGMENTS} up-sets on {popcount(support)} elements"
+                )
+            # U - up(h), below or beside h, makes the second block, with h in
+            # all of it; U - down(h) the first, and all of the second above h
+            ones = ((1 << hi_count) - 1) << lo_count
+            cols = {p: col << lo_count for p, col in hi_cols.items()}
+            cols[h] = ones
+            get = cols.get
+            for p, col in lo_cols.items():
+                cols[p] = get(p, ones) | col
+            memo[s] = (count, cols)
+            if s != support:
+                bits = (count + 64) * len(cols)
+                if kept + bits > _MEMO_BITS:
+                    refused += 1
+                else:
+                    kept += bits
+                    entries += 1
+                    cache[s] = [count, None, cols]
+    finally:
+        poset._memo_bits, poset._memo_entries, poset._memo_refused = kept, entries, refused
     return memo[support]
 
 

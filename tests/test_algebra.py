@@ -468,6 +468,32 @@ def test_canonical_key_decides_equality(case):
     assert (algebra.canonical_key(a) == algebra.canonical_key(b)) == algebra.equals(a, b)
 
 
+def test_canonical_key_builds_nothing_for_the_minimal_support():
+    """The key is support_reduce's (support, truth), read without building
+    the smaller support's entry: so a key adds no cache entry, and an element
+    whose minimal support is past SUPPORT_CAP has a key and a hash."""
+    p = chain(24)
+    space = stone.StoneSpace(p)
+    # trace k holds the top k elements; element s can go iff the bits at
+    # traces 24 - s and 23 - s agree, which they do only for s = 0, whose
+    # removal leaves a support that no split caches
+    e = stone.elem_from_clopen(space, sum(1 << k for k in range(1, 24, 2)) | 1 << 24)
+    key = (p.full ^ 1, sum(1 << k for k in range(1, 24, 2)))
+    assert algebra.canonical_key(e) == key
+    assert hash(e) == hash((id(p), key))
+    rng = random.Random(24)
+    for q in corpus.corpus_posets(5):
+        for _ in range(4):
+            q = Poset(q.names, q.up)
+            support = rng.getrandbits(q.n)
+            e = algebra.AlgebraElem(q, support, rng.getrandbits(q.columns(support)[0]))
+            before = set(q._cache)
+            key = algebra.canonical_key(e)
+            assert set(q._cache) == before
+            r = algebra.support_reduce(e)
+            assert key == (r.support, r.truth)
+
+
 def _oracle_reductions(p, points, clopen):
     """Supports left by greedy removal in every order, each removal checked on the
     Stone space: f drops i when it depends on R only through R & (S - i)."""
@@ -559,6 +585,111 @@ def test_parse_errors():
 def test_parse_deep_nesting_is_parse_error(text):
     with pytest.raises(ParseError):
         exprs.parse(text)
+
+
+_BINARY = (("|", "or"), ("&", "and"))
+
+
+def _recursive_descent(tokens, i, level=0):
+    """The parser that ``exprs._parse`` replaced: one call per binary level
+    and operand, kept as the reference its trees and errors must equal."""
+    if level < len(_BINARY):
+        op, kind = _BINARY[level]
+        node, i = _recursive_descent(tokens, i, level + 1)
+        while tokens[i] == op:
+            right, i = _recursive_descent(tokens, i + 1, level + 1)
+            node = (kind, node, right)
+        return node, i
+    tok = tokens[i]
+    if tok == "!":
+        node, i = _recursive_descent(tokens, i + 1, level)
+        return ("not", node), i
+    if tok == "(":
+        node, i = _recursive_descent(tokens, i + 1)
+        if tokens[i] != ")":
+            raise ParseError("expected ')'")
+        return node, i + 1
+    if tok in ("0", "1"):
+        return ("const", tok == "1"), i + 1
+    if isinstance(tok, tuple) and tok[0] == "var":
+        return tok, i + 1
+    raise ParseError(f"unexpected token {tok!r}")
+
+
+def _reference_parse(text):
+    """``exprs.parse`` around the reference parser."""
+    tokens = exprs.tokenize(text)
+    if not tokens:
+        raise ParseError("empty expression")
+    tokens.append(None)
+    try:
+        node, i = _recursive_descent(tokens, 0)
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
+    if tokens[i] is not None:
+        raise ParseError(f"trailing input from token {tokens[i]!r}")
+    return node
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc))
+
+
+def _random_text(rng, depth=0):
+    """A well-formed term: runs of ``!``, constants, ``x((a,b))`` names,
+    parentheses and unparenthesized chains of ``&`` and ``|``."""
+    nots = "!" * rng.choice((0, 0, 0, 1, 2, 3))
+    r = rng.random()
+    if depth > 3 or r < 0.35:
+        return nots + rng.choice(("x(a)", "x(b)", "x((a,b))", "x(((0),1))", "0", "1"))
+    if r < 0.5:
+        return nots + "(" + _random_text(rng, depth + 1) + ")"
+    text = _random_text(rng, depth + 1)
+    for _ in range(rng.randint(1, 4)):
+        text += rng.choice((" & ", " | ", "&", "|")) + _random_text(rng, depth + 1)
+    return text
+
+
+# each bad input with the one message both parsers give
+BAD_TEXTS = {
+    "": "empty expression",
+    "x(a": "unterminated atom at offset 0",
+    "x(a) x(b)": "trailing input from token ('var', 'b')",
+    ")(": "unexpected token ')'",
+    "()": "unexpected token ')'",
+    "!!": "unexpected token None",
+    "x(a) | | x(b)": "unexpected token '|'",
+    "0 1": "trailing input from token '1'",
+    "(x(a) & x(b)": "expected ')'",
+    "x(a) &": "unexpected token None",
+    "!(" * 1500 + "x(a)" + ")" * 1500: "expression nested too deeply",
+}
+
+
+@pytest.mark.parametrize("text", sorted(BAD_TEXTS), ids=range(len(BAD_TEXTS)))
+def test_parse_error_messages_match_the_recursive_descent(text):
+    assert _outcome(exprs.parse, text) == ("ParseError", BAD_TEXTS[text])
+    assert _outcome(_reference_parse, text) == ("ParseError", BAD_TEXTS[text])
+
+
+def test_parser_matches_the_recursive_descent_on_random_texts():
+    """Same tree on 2,000 well-formed texts; same tree or same ParseError
+    message on each of them with one character dropped or doubled."""
+    rng = random.Random(31)
+    errors = 0
+    for _ in range(2000):
+        text = _random_text(rng)
+        tree = _reference_parse(text)
+        assert exprs.parse(text) == tree, text
+        k = rng.randrange(len(text))
+        for bad in (text[:k] + text[k + 1:], text[:k] + text[k] + text[k:]):
+            want = _outcome(_reference_parse, bad)
+            assert _outcome(exprs.parse, bad) == want, bad
+            errors += want[0] == "ParseError"
+    assert errors > 1000
 
 
 @pytest.mark.parametrize("node", [

@@ -13,7 +13,7 @@ import click
 import pytest
 
 import posetalg
-from posetalg import algebra, corpus, lattice, morphisms, poset, stone, wqo
+from posetalg import algebra, corpus, exprs, lattice, morphisms, poset, stone, wqo
 from posetalg.errors import BadArity, ParseError, UnknownElement
 
 CAP_PARAMETERS = {
@@ -105,6 +105,13 @@ BAD_INPUTS = {
     "classify_array-None": (TypeError, lambda p: wqo.classify_array(None)),
     "transpose-negative-width": (BadArity, lambda p: poset.transpose([1], -1)),
     "l_leq-int": (TypeError, lambda p: lattice.l_leq(lattice.enumerate_l(p)[0], 5)),
+    # a term's names are resolved as Poset.id resolves them: a bool or a
+    # float is no id, and a list no name
+    "to_elem-var-bool": (UnknownElement, lambda p: exprs.to_elem(p, ("var", True))),
+    "to_elem-var-float": (UnknownElement, lambda p: exprs.to_elem(p, ("var", 1.5))),
+    "to_elem-var-list": (TypeError, lambda p: exprs.to_elem(p, ("var", [1]))),
+    "to_elem-var-unknown-name": (UnknownElement, lambda p: exprs.to_elem(p, ("var", "zzz"))),
+    "to_elem-var-id-out-of-range": (UnknownElement, lambda p: exprs.to_elem(p, ("var", 3))),
 }
 
 

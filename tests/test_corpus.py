@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 from posetalg import corpus
+from posetalg import poset as poset_module
 from posetalg.errors import EnumerationOverflow
 from posetalg.poset import (
     _MEMO_BITS,
@@ -216,3 +217,104 @@ def test_overflowing_split_keeps_only_entries_under_the_cap():
     with pytest.raises(EnumerationOverflow):
         p.columns(p.full)
     assert below not in p._cache and p.full not in p._cache
+
+
+def _reference_split(poset, support):
+    """The split before its counters moved into locals, kept as the
+    reference for what the split caches and counts."""
+    up, down, cache = poset.up, poset.down, poset._cache
+    memo = {0: (1, {})}
+    users = {}
+    splits = []
+    stack = [support] if support else []
+    while stack:
+        s = stack.pop()
+        h = s.bit_length() - 1
+        lo_sub = s & ~down[h]
+        hi_sub = s & ~up[h]
+        splits.append((s, h, lo_sub, hi_sub))
+        for sub in (lo_sub, hi_sub):
+            if sub not in users:
+                if sub & (sub - 1):
+                    entry = cache.get(sub)
+                    if entry is None:
+                        stack.append(sub)
+                    else:
+                        memo[sub] = (entry[0], entry[2])
+                elif sub:
+                    memo[sub] = (2, {sub.bit_length() - 1: 2})
+            users[sub] = users.get(sub, 0) + 1
+    splits.sort()
+    for s, h, lo_sub, hi_sub in splits:
+        left = users[lo_sub] = users[lo_sub] - 1
+        lo_count, lo_cols = memo[lo_sub] if left else memo.pop(lo_sub)
+        left = users[hi_sub] = users[hi_sub] - 1
+        hi_count, hi_cols = memo[hi_sub] if left else memo.pop(hi_sub)
+        count = lo_count + hi_count
+        if count > MAX_SEGMENTS:
+            raise EnumerationOverflow(
+                f"more than {MAX_SEGMENTS} up-sets on {support.bit_count()} elements"
+            )
+        cols = {p: lo_cols.get(p, 0) | col << lo_count for p, col in hi_cols.items()}
+        ones = ((1 << hi_count) - 1) << lo_count
+        cols[h] = ones
+        top = s & up[h]
+        for p in _bits(top ^ 1 << h):
+            cols[p] = lo_cols[p] | ones
+        memo[s] = (count, cols)
+        if s != support:
+            bits = (count + 64) * len(cols)
+            if poset._memo_bits + bits > poset_module._MEMO_BITS:
+                poset._memo_refused += 1
+            else:
+                poset._memo_bits += bits
+                poset._memo_entries += 1
+                cache[s] = [count, None, cols]
+    return memo[support]
+
+
+def _reference_columns(poset, support):
+    """``Poset.columns`` on the reference split."""
+    entry = poset._cache.get(support)
+    if entry is None:
+        count, cols = _reference_split(poset, support)
+        entry = poset._cache[support] = [count, None, cols]
+    return entry[0], entry[2]
+
+
+def _same_state(got, want):
+    assert got._cache == want._cache
+    assert (got._memo_entries, got._memo_bits, got._memo_refused) == (
+        want._memo_entries, want._memo_bits, want._memo_refused)
+
+
+@pytest.mark.parametrize("budget", [_MEMO_BITS, 1 << 12], ids=["default-budget", "small-budget"])
+def test_split_caches_and_counts_as_the_reference_split(monkeypatch, budget):
+    """After every build, the split has cached the same entries and counted
+    the same kept entries, bits and refusals as the reference, with a budget
+    that keeps everything and one that refuses; on an overflow the counters
+    it wrote back on the raise are checked too."""
+    monkeypatch.setattr(poset_module, "_MEMO_BITS", budget)
+    rng = random.Random(31)
+    refused = 0
+    grid = product(chain(4), chain(5))[0]
+    # the grid with its ids reversed, so the top id of a support is minimal in
+    # it and the split places elements above h, where the others place none
+    falling = Poset(grid.names[::-1], [int(f"{row:020b}"[::-1], 2) for row in grid.up[::-1]])
+    for p in [random_poset(20, 0.1, 101), rado_prefix(6), grid, falling]:
+        got, want = fresh(p), fresh(p)
+        for _ in range(60):
+            support = sum(1 << i for i in rng.sample(range(p.n), rng.randint(0, p.n)))
+            assert got.columns(support) == _reference_columns(want, support)
+            _same_state(got, want)
+        refused += got._memo_refused
+    assert (refused > 0) == (budget < _MEMO_BITS)
+    p = lex_sum(chain(2), [antichain(21), antichain(1)])
+    got, want = fresh(p), fresh(p)
+    for _ in range(2):
+        with pytest.raises(EnumerationOverflow):
+            got.columns(p.full)
+        with pytest.raises(EnumerationOverflow):
+            _reference_columns(want, p.full)
+        _same_state(got, want)
+        assert got._memo_entries > 0
